@@ -1153,10 +1153,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_engine_choices(),
         default=None,
         help="simulation kernel (ring = the fast event kernel: exact "
-        "fixed-point ticks for fractional delays, calendar-queue "
-        "fallback, batched fronts and segment replay; compiled = the "
-        "heap kernel; reference = the retained seed interpreter, for "
-        "benchmarking; default ring, or $REPRO_SIM_ENGINE)",
+        "fixed-point ticks for fractional delays, heap-loop fallback "
+        "for off-grid delays, batched fronts and segment replay; "
+        "compiled = the heap kernel; reference = the retained seed "
+        "interpreter, for benchmarking; default ring, or "
+        "$REPRO_SIM_ENGINE)",
     )
     val.add_argument(
         "--skewed",

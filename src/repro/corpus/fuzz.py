@@ -2,11 +2,12 @@
 
 The library keeps three deliberately redundant implementations of its
 hot paths — the packed-bitset logic engine vs ``logic/_reference``, the
-compiled simulation kernel vs the event-ring kernel (tick *and*
-calendar regimes), and the FANTOM synthesis vs the SIC Huffman baseline
-— plus a flow-table interpreter as the behavioural oracle.  This module
-drives generated corpus machines (:mod:`repro.corpus.families`) through
-all of them and treats *any* disagreement as a finding:
+compiled simulation kernel vs the event-ring kernel (tick regime *and*
+off-grid fall-through), and the FANTOM synthesis vs the SIC Huffman
+baseline — plus a flow-table interpreter as the behavioural oracle.
+This module drives generated corpus machines
+(:mod:`repro.corpus.families`) through all of them and treats *any*
+disagreement as a finding:
 
 ``logic-primes`` / ``logic-useful`` / ``logic-cover``
     The bitset engine's primes, useful-prime filter, or minimal cover
@@ -68,8 +69,10 @@ from .keys import CorpusKey, is_corpus_key, parse_key
 SELFTEST_ENV = "REPRO_FUZZ_SELFTEST"
 
 #: Delay models every machine is walked under: ``unit`` and
-#: ``loop-safe`` exercise the ring kernel's tick path, the off-grid
-#: ``loop-safe-offgrid`` variant forces its calendar-queue path.
+#: ``loop-safe`` exercise the ring kernel's tick path; the off-grid
+#: ``loop-safe-offgrid`` variant pins the ring's fall-through to the
+#: inherited heap loop against the compiled kernel (kept so fuzz cache
+#: keys and CI timing rows stay put).
 DEFAULT_MODELS = ("unit", "loop-safe", "loop-safe-offgrid")
 
 #: Corpus machines with pinned, characterised anomalies — the

@@ -81,7 +81,11 @@ class QueueWorker:
             "failed": 0,
             "stolen": 0,
         }
-        deadline = time.time() + timeout if timeout is not None else None
+        # An in-process deadline, so a monotonic clock: a wall-clock step
+        # must neither end the run early nor keep it alive forever.
+        # (Leases stay on wall-clock time: workers on other hosts share
+        # them.)
+        deadline = time.monotonic() + timeout if timeout is not None else None
         while True:
             pending = self.queue.pending()
             if not pending and drain:
@@ -110,7 +114,7 @@ class QueueWorker:
             if max_units is not None and stats["units"] >= max_units:
                 return stats
             if not progressed:
-                if deadline is not None and time.time() >= deadline:
+                if deadline is not None and time.monotonic() >= deadline:
                     return stats
                 time.sleep(self.poll)
 

@@ -104,12 +104,10 @@ def default_engine() -> str:
     """The kernel used when no ``engine`` is given explicitly.
 
     ``$REPRO_SIM_ENGINE`` overrides (validated; ``compiled`` selects
-    the heap kernel, useful for benchmarking baselines or to avoid the
-    ring kernel's optional numpy import — the ring degrades to scalar
-    front evaluation without numpy, so either works anywhere).
-    Defaults to ``"ring"``: with the fractional-time tick grid and the
-    calendar fallback, every built-in delay model now runs on the fast
-    kernel, so the campaign bulk takes it by default.
+    the heap kernel, useful for benchmarking baselines).  Defaults to
+    ``"ring"``: with the fractional-time tick grid, every built-in
+    delay model runs on the fast kernel, so the campaign bulk takes it
+    by default; off-grid delays fall back to the heap loop inside it.
     """
     import os
 
@@ -187,7 +185,7 @@ class CampaignCell:
 
     @property
     def engine_path(self) -> str | None:
-        """Kernel-path provenance (``ring``/``ticks``/``calendar``/``heap``).
+        """Kernel-path provenance (``ring``/``ticks``/``heap``).
 
         Derived from the summary's kernel telemetry so cells
         reconstructed from a result store report exactly what the
@@ -356,11 +354,11 @@ class ValidationCampaign:
         ``"ring"`` (the default, via :func:`default_engine` /
         ``$REPRO_SIM_ENGINE``) — the event-ring kernel of
         :mod:`repro.sim.ring`: fractional delays run on an exact
-        fixed-point tick grid (or the calendar-queue fallback), with
-        batched fronts and run-segment replay, so every built-in delay
-        model stays on the fast path; ``"compiled"`` — the heap
-        kernel; or ``"reference"`` — the retained seed kernel, for
-        benchmarking and distrust.  All three are pinned
+        fixed-point tick grid (or the heap-loop fallback for off-grid
+        delays), with batched fronts and run-segment replay, so every
+        built-in delay model stays on the fast path; ``"compiled"`` —
+        the heap kernel; or ``"reference"`` — the retained seed kernel,
+        for benchmarking and distrust.  All three are pinned
         trace-equivalent.
     store:
         A content-addressed :class:`~repro.store.ResultStore` (or a

@@ -8,6 +8,7 @@ run no matter how the fleet carved the work up.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -137,6 +138,27 @@ class TestPoison:
         assert stats["failed"] == 1
         assert stats["synthesized"] == len(TABLES) - 1
         assert WorkQueue(store, "q").stats().remaining == 0
+
+
+class TestDeadline:
+    def test_run_deadline_ignores_a_frozen_wall_clock(
+        self, store, monkeypatch
+    ):
+        """The polling deadline is in-process time: with the wall clock
+        stuck, a ``drain=False`` run still ends once ``timeout`` passes."""
+        import repro.service.worker as worker_mod
+
+        frozen = worker_mod.time.time()
+        monkeypatch.setattr(worker_mod.time, "time", lambda: frozen)
+        worker = QueueWorker(store, "q", worker_id="w1", poll=0.01)
+        thread = threading.Thread(
+            target=worker.run,
+            kwargs={"drain": False, "timeout": 0.2},
+            daemon=True,
+        )
+        thread.start()
+        thread.join(2)
+        assert not thread.is_alive()
 
 
 class TestCampaignUnits:
