@@ -785,8 +785,7 @@ def _add_matrix_arguments(
         "--engine",
         choices=_engine_choices(),
         default=None,
-        help="[campaign] simulation kernel (default ring, or "
-        "$REPRO_SIM_ENGINE)",
+        help="[campaign] simulation kernel (default ring)",
     )
 
 
@@ -1156,8 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fixed-point ticks for fractional delays, heap-loop fallback "
         "for off-grid delays, batched fronts and segment replay; "
         "compiled = the heap kernel; reference = the retained seed "
-        "interpreter, for benchmarking; default ring, or "
-        "$REPRO_SIM_ENGINE)",
+        "interpreter, for benchmarking; default ring)",
     )
     val.add_argument(
         "--skewed",

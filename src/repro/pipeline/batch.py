@@ -57,6 +57,19 @@ class BatchItem:
     #: so a stored failure can re-raise as its original type.
     error_type: str | None = None
 
+    @classmethod
+    def from_stored(cls, index: int, name: str, stored) -> BatchItem:
+        """An item served whole from a result-store envelope."""
+        return cls(
+            index=index,
+            name=name,
+            result=stored.result,
+            error=stored.error,
+            seconds=0.0,
+            store_hit=True,
+            error_type=stored.error_type,
+        )
+
     @property
     def ok(self) -> bool:
         return self.error is None
@@ -245,15 +258,7 @@ class BatchRunner:
             if stored is None:
                 miss_pairs.append((table, options))
             else:
-                hits[index] = BatchItem(
-                    index=index,
-                    name=table.name,
-                    result=stored.result,
-                    error=stored.error,
-                    seconds=0.0,
-                    store_hit=True,
-                    error_type=stored.error_type,
-                )
+                hits[index] = BatchItem.from_stored(index, table.name, stored)
         computed = self._iter_computed(miss_pairs)
         for index, (table, options) in enumerate(pairs):
             if index in hits:

@@ -231,16 +231,14 @@ class WorkQueue:
     def publish_campaign(self, tables, campaign) -> int:
         """Publish one validation unit per campaign cell (plus the
         synthesis each table needs, resolved worker-side through the
-        store)."""
+        store), keyed by :meth:`ValidationCampaign.cell_key
+        <repro.sim.campaign.ValidationCampaign.cell_key>` via the
+        shard plan."""
         from ..core.serialize import table_to_dict
-        from ..pipeline.spec import PipelineSpec
         from ..store.keys import table_digest
         from ..store.sharding import ShardedCampaign
 
         sharded = ShardedCampaign(tables, campaign)
-        spec = (
-            campaign.spec if campaign.spec is not None else PipelineSpec()
-        )
         units = []
         for unit in sharded.plan(1).units:
             table = tables[unit.table_index]
@@ -252,7 +250,7 @@ class WorkQueue:
                     "label": unit.label,
                     "key": unit.key.to_dict(),
                     "table": table_to_dict(table),
-                    "spec": spec.to_dict(),
+                    "spec": sharded.spec.to_dict(),
                     "cell": {
                         "model": model,
                         "seed": seed,

@@ -9,8 +9,11 @@ shared store.  The loop is deliberately boring:
 3. execute the unit **through the store** — a synthesis unit routes
    through a store-backed :class:`~repro.pipeline.batch.BatchRunner`
    (so a unit another worker already finished is a verified hit, zero
-   passes), a validation unit synthesises-or-reads its machine and
-   simulates its cell, archiving the VCD when the cell is dirty;
+   passes), a validation unit runs as a one-cell store-backed
+   :class:`~repro.sim.campaign.ValidationCampaign` — the only code that
+   executes campaign cells — so it synthesises-or-reads its machine,
+   skips a stored cell, and archives the VCD of a dirty one exactly as
+   a single-process campaign does;
 4. mark done, release the lease, archive observed seconds as the
    telemetry the next publisher weighs units by.
 
@@ -157,51 +160,29 @@ class QueueWorker:
 
     def _execute_validation(self, payload: dict) -> str:
         from ..core.serialize import table_from_dict
-        from ..netlist.fantom import build_fantom
-        from ..pipeline.batch import BatchRunner
         from ..pipeline.spec import PipelineSpec
-        from ..sim.campaign import (
-            _resolve_engine,
-            archive_failure_vcd,
-            delay_model,
-        )
-        from ..sim.harness import random_legal_walk, validate_walk
-        from ..store.keys import StoreKey
+        from ..sim.campaign import ValidationCampaign
 
-        table = table_from_dict(payload["table"])
-        spec = PipelineSpec.from_dict(payload["spec"])
         cell = payload["cell"]
-        stored = self.store.get_synthesis(table, spec)
-        if stored is None:
-            BatchRunner(spec=spec, jobs=1, store=self.store).run([table])
-            stored = self.store.get_synthesis(table, spec)
-        if stored is None or not stored.ok:
+        report = ValidationCampaign(
+            sweep=1,
+            steps=cell["steps"],
+            delay_models=(cell["model"],),
+            base_seed=cell["seed"],
+            use_fsv=cell["use_fsv"],
+            spec=PipelineSpec.from_dict(payload["spec"]),
+            engine=cell["engine"],
+            store=self.store,
+        ).run([table_from_dict(payload["table"])])
+        if not report.cells:
             # Synthesis failed (deterministically, and the store
             # recorded it): the cell is unrunnable, the merger reads
             # the recorded error instead.
             return "skipped"
-        machine = build_fantom(stored.result, use_fsv=cell["use_fsv"])
-        key = StoreKey(**payload["key"])
-        if self.store.get_validation(key) is not None:
+        (done,) = report.cells
+        if done.store_hit:
             return "store_hits"
-        model, seed = cell["model"], cell["seed"]
-        walk = random_legal_walk(
-            machine.result.table, cell["steps"], seed=seed
-        )
-        start = time.perf_counter()
-        summary = validate_walk(
-            machine,
-            walk,
-            delays=delay_model(model, seed, machine),
-            simulator_factory=_resolve_engine(cell["engine"]),
-        )
-        seconds = time.perf_counter() - start
-        self.store.put_validation(key, summary)
-        if not summary.all_clean:
-            archive_failure_vcd(
-                self.store, key, machine, walk, model, seed, cell["engine"]
-            )
         self.queue.record_telemetry(
-            payload["key"]["table"], cell_seconds=seconds
+            payload["key"]["table"], cell_seconds=done.seconds
         )
         return "validated"

@@ -36,6 +36,13 @@ Entry points: ``seance validate --sweep N --delay-model M --jobs J``,
 :meth:`repro.api.Session.validate`, and the ``verify`` pipeline pass
 (:mod:`repro.pipeline.passes`), which fails synthesis outright on a
 dirty machine.
+
+This is the only code that executes a campaign cell: shard runs
+(:class:`~repro.store.sharding.ShardedCampaign`) and queue workers
+(:class:`~repro.service.worker.QueueWorker`) hand their cells to
+single-seed sub-campaigns over the shared store, and
+:meth:`ValidationCampaign.cell_key` is the only derivation of a cell's
+store key.
 """
 
 from __future__ import annotations
@@ -103,18 +110,10 @@ def _reference_engine():
 def default_engine() -> str:
     """The kernel used when no ``engine`` is given explicitly.
 
-    ``$REPRO_SIM_ENGINE`` overrides (validated; ``compiled`` selects
-    the heap kernel, useful for benchmarking baselines).  Defaults to
     ``"ring"``: with the fractional-time tick grid, every built-in
-    delay model runs on the fast kernel, so the campaign bulk takes it
-    by default; off-grid delays fall back to the heap loop inside it.
+    delay model runs on the fast kernel, so the campaign bulk takes it;
+    off-grid delays fall back to the heap loop inside it.
     """
-    import os
-
-    name = os.environ.get("REPRO_SIM_ENGINE")
-    if name:
-        _resolve_engine(name)
-        return name
     return "ring"
 
 
@@ -178,6 +177,20 @@ class CampaignCell:
     summary: ValidationSummary
     seconds: float
     store_hit: bool = False
+
+    @classmethod
+    def replayed(
+        cls, table: str, model: str, seed: int, summary: ValidationSummary
+    ) -> CampaignCell:
+        """A cell read back from a result store instead of simulated."""
+        return cls(
+            table=table,
+            model=model,
+            seed=seed,
+            summary=summary,
+            seconds=0.0,
+            store_hit=True,
+        )
 
     @property
     def clean(self) -> bool:
@@ -351,12 +364,12 @@ class ValidationCampaign:
         :class:`~repro.pipeline.spec.PipelineSpec` for the synthesis
         phase (pass variants, options, stage cache).
     engine:
-        ``"ring"`` (the default, via :func:`default_engine` /
-        ``$REPRO_SIM_ENGINE``) — the event-ring kernel of
-        :mod:`repro.sim.ring`: fractional delays run on an exact
-        fixed-point tick grid (or the heap-loop fallback for off-grid
-        delays), with batched fronts and run-segment replay, so every
-        built-in delay model stays on the fast path; ``"compiled"`` —
+        ``"ring"`` (the default, via :func:`default_engine`) — the
+        event-ring kernel of :mod:`repro.sim.ring`: fractional delays
+        run on an exact fixed-point tick grid (or the heap-loop
+        fallback for off-grid delays), with batched fronts and
+        run-segment replay, so every built-in delay model stays on the
+        fast path; ``"compiled"`` —
         the heap kernel; or ``"reference"`` — the retained seed kernel,
         for benchmarking and distrust.  All three are pinned
         trace-equivalent.
@@ -474,39 +487,38 @@ class ValidationCampaign:
                     )
         return cells
 
-    def _cell_keys(self, machines, cells):
-        """Store keys per cell (None when no store is attached).
+    def cell_key(self, table, model: str, seed: int, use_fsv: bool):
+        """The store key of one cell — the only place it is derived.
 
-        Keyed on each machine's *source* table and its ``uses_fsv``
-        flag — properties of the machine actually simulated — plus this
-        campaign's (spec, steps, engine) workload parameters.
+        Keyed on the *source* table and the ``use_fsv`` flag of the
+        machine simulated, plus this campaign's (spec, steps, engine)
+        workload parameters; shard plans and queue publishers key their
+        units through here too.
         """
-        if self.store is None:
-            return [None] * len(cells)
         from ..pipeline.spec import PipelineSpec
         from ..store.keys import validation_key
 
-        spec = self.spec if self.spec is not None else PipelineSpec()
-        return [
-            validation_key(
-                machines[mi].result.source,
-                spec,
-                model=model,
-                seed=seed,
-                steps=self.steps,
-                engine=self.engine,
-                use_fsv=machines[mi].uses_fsv,
-            )
-            for mi, model, seed, _walk, _expected in cells
-        ]
+        return validation_key(
+            table,
+            self.spec if self.spec is not None else PipelineSpec(),
+            model=model,
+            seed=seed,
+            steps=self.steps,
+            engine=self.engine,
+            use_fsv=use_fsv,
+        )
 
     def _sweep_machines(self, machines, result: CampaignResult):
         cells = self._cells(machines)
-        keys = self._cell_keys(machines, cells)
+        keys: list = [None] * len(cells)
         replayed: dict[int, ValidationSummary] = {}
         if self.store is not None:
-            for i, key in enumerate(keys):
-                summary = self.store.get_validation(key)
+            for i, (mi, model, seed, _walk, _expected) in enumerate(cells):
+                machine = machines[mi]
+                keys[i] = self.cell_key(
+                    machine.result.source, model, seed, machine.uses_fsv
+                )
+                summary = self.store.get_validation(keys[i])
                 if summary is not None:
                     replayed[i] = summary
         pending = [i for i in range(len(cells)) if i not in replayed]
@@ -547,34 +559,33 @@ class ValidationCampaign:
                 pending, outcomes
             )
         }
-        for i, (machine_index, model, seed, _walk, _expected) in enumerate(
-            cells
-        ):
+        for i, (mi, model, seed, walk, _expected) in enumerate(cells):
+            name = machines[mi].result.table.name
             if i in replayed:
-                summary, seconds, hit = replayed[i], 0.0, True
-            else:
-                summary, seconds = computed[i]
-                hit = False
-                if self.store is not None:
-                    self.store.put_validation(keys[i], summary)
-                    if not summary.all_clean:
-                        archive_failure_vcd(
-                            self.store,
-                            keys[i],
-                            machines[machine_index],
-                            _walk,
-                            model,
-                            seed,
-                            self.engine,
-                        )
+                result.cells.append(
+                    CampaignCell.replayed(name, model, seed, replayed[i])
+                )
+                continue
+            summary, seconds = computed[i]
+            if self.store is not None:
+                self.store.put_validation(keys[i], summary)
+                if not summary.all_clean:
+                    archive_failure_vcd(
+                        self.store,
+                        keys[i],
+                        machines[mi],
+                        walk,
+                        model,
+                        seed,
+                        self.engine,
+                    )
             result.cells.append(
                 CampaignCell(
-                    table=machines[machine_index].result.table.name,
+                    table=name,
                     model=model,
                     seed=seed,
                     summary=summary,
                     seconds=seconds,
-                    store_hit=hit,
                 )
             )
         return result

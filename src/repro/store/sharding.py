@@ -21,9 +21,15 @@ a store, skipping verified hits) and reassembly (``merge`` — read every
 unit back and rebuild the stream **byte-identically** to the
 single-process :class:`~repro.pipeline.batch.BatchRunner` /
 :class:`~repro.sim.campaign.ValidationCampaign` output, up to the
-canonical projection of :mod:`repro.store.canonical`).  A merge over an
-incomplete store raises :class:`~repro.errors.StoreError` naming each
-missing unit and the shard that owns it.
+canonical projection of :mod:`repro.store.canonical`).  Neither
+executes work itself: batch units run through a store-backed
+``BatchRunner``, and campaign cells through single-seed
+``ValidationCampaign`` sub-campaigns — the one place a cell is
+simulated, written back and (when dirty) archived as a VCD, and the
+one place its key is derived (``ValidationCampaign.cell_key``).  A
+merge over an incomplete store raises
+:class:`~repro.errors.StoreError` naming each missing unit and the
+shard that owns it.
 
 CLI: ``seance shard plan | run --shard i/N | merge`` (see
 :mod:`repro.cli`).
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from ..errors import StoreError
 from ..flowtable.table import FlowTable
 from ..pipeline.spec import PipelineSpec
-from .keys import StoreKey, synthesis_key, validation_key
+from .keys import StoreKey, synthesis_key
 from .store import ResultStore
 
 
@@ -215,17 +221,7 @@ class ShardedBatch:
             if stored is None:
                 missing.append(unit)
                 continue
-            items.append(
-                BatchItem(
-                    index=unit.index,
-                    name=table.name,
-                    result=stored.result,
-                    error=stored.error,
-                    seconds=0.0,
-                    store_hit=True,
-                    error_type=stored.error_type,
-                )
-            )
+            items.append(BatchItem.from_stored(unit.index, table.name, stored))
         if missing:
             raise _missing_error("batch", missing, plan.shards)
         return items
@@ -255,18 +251,6 @@ class ShardedCampaign:
         )
 
     # ------------------------------------------------------------------
-    def _cell_key(self, table: FlowTable, model: str, seed: int) -> StoreKey:
-        campaign = self.campaign
-        return validation_key(
-            table,
-            self.spec,
-            model=model,
-            seed=seed,
-            steps=campaign.steps,
-            engine=campaign.engine,
-            use_fsv=campaign.use_fsv,
-        )
-
     def plan(self, shards: int) -> ShardPlan:
         if shards < 1:
             raise StoreError(f"shard count must be >= 1, got {shards}")
@@ -279,7 +263,9 @@ class ShardedCampaign:
                     units.append(
                         WorkUnit(
                             index=index,
-                            key=self._cell_key(table, model, seed),
+                            key=campaign.cell_key(
+                                table, model, seed, campaign.use_fsv
+                            ),
                             label=f"{table.name}/{model}/seed{seed}",
                             table_index=table_index,
                             cell=(model, seed),
@@ -305,12 +291,7 @@ class ShardedCampaign:
         """
         from ..netlist.fantom import build_fantom
         from ..pipeline.batch import BatchRunner
-        from ..sim.campaign import (
-            _resolve_engine,
-            archive_failure_vcd,
-            delay_model,
-        )
-        from ..sim.harness import random_legal_walk, validate_walk
+        from ..sim.campaign import ValidationCampaign
 
         campaign = self.campaign
         plan = self.plan(shards)
@@ -330,46 +311,36 @@ class ShardedCampaign:
             else:
                 failed.append((item.name, item.error))
 
-        engine_cls = _resolve_engine(campaign.engine)
-        walks: dict[tuple[int, int], list[int]] = {}
-        executed = hits = skipped = 0
+        # One single-seed sub-campaign per (table, seed): the walk is
+        # generated once and replayed under that group's models, which
+        # arrive in campaign order (the plan enumerates models before
+        # seeds).
+        groups: dict[tuple[int, int], list[str]] = {}
+        skipped = 0
         for unit in mine:
             if unit.table_index not in machines:
                 skipped += 1
                 continue
-            if store.get_validation(unit.key) is not None:
-                hits += 1
-                continue
-            machine = machines[unit.table_index]
             model, seed = unit.cell
-            walk_key = (unit.table_index, seed)
-            if walk_key not in walks:
-                walks[walk_key] = random_legal_walk(
-                    machine.result.table, campaign.steps, seed=seed
-                )
-            summary = validate_walk(
-                machine,
-                walks[walk_key],
-                delays=delay_model(model, seed, machine),
-                simulator_factory=engine_cls,
-            )
-            store.put_validation(unit.key, summary)
-            if not summary.all_clean:
-                archive_failure_vcd(
-                    store,
-                    unit.key,
-                    machine,
-                    walks[walk_key],
-                    model,
-                    seed,
-                    campaign.engine,
-                )
-            executed += 1
+            groups.setdefault((unit.table_index, seed), []).append(model)
+        cells = []
+        for (table_index, seed), models in groups.items():
+            cells += ValidationCampaign(
+                sweep=1,
+                steps=campaign.steps,
+                delay_models=tuple(models),
+                base_seed=seed,
+                use_fsv=campaign.use_fsv,
+                spec=campaign.spec,
+                engine=campaign.engine,
+                store=store,
+            ).run_machines([machines[table_index]]).cells
+        hits = sum(cell.store_hit for cell in cells)
         return {
             "shard": shard,
             "shards": shards,
             "planned": len(mine),
-            "executed": executed,
+            "executed": len(cells) - hits,
             "store_hits": hits,
             "skipped": skipped,
             "synthesis_failures": failed,
@@ -410,14 +381,7 @@ class ShardedCampaign:
                     continue
                 model, seed = unit.cell
                 result.cells.append(
-                    CampaignCell(
-                        table=name,
-                        model=model,
-                        seed=seed,
-                        summary=summary,
-                        seconds=0.0,
-                        store_hit=True,
-                    )
+                    CampaignCell.replayed(name, model, seed, summary)
                 )
         if missing:
             raise _missing_error("campaign", missing, plan.shards)

@@ -119,7 +119,11 @@ class TestQueueMode:
                     target=QueueWorker(
                         fake.url, "svc", worker_id="w1", poll=0.05
                     ).run,
-                    kwargs={"drain": False, "timeout": 30},
+                    kwargs={
+                        "drain": False,
+                        "timeout": 30,
+                        "max_units": len(tables),
+                    },
                 )
                 worker.start()
                 client = ServiceClient(server.url)

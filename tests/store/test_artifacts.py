@@ -10,6 +10,7 @@ anything.  Clean cells archive nothing.
 import pytest
 
 from repro.bench import benchmark
+from repro.service import QueueWorker, WorkQueue
 from repro.sim.campaign import ValidationCampaign
 from repro.store import ResultStore, ShardedCampaign
 from repro.store.backend import MemoryBackend
@@ -70,14 +71,29 @@ class TestFailureArchiving:
         assert report.all_clean
         assert vcd_names(store) == []
 
-    def test_sharded_campaign_archives_too(self, store):
-        """The shard-runner path archives the same artifacts as the
-        serial campaign."""
-        sharded = ShardedCampaign(
-            [benchmark("hazard_demo")], dirty_campaign()
-        )
-        sharded.run_shard(0, 1, store)
-        assert vcd_names(store)
+    @pytest.mark.parametrize("route", ["campaign", "shard", "queue"])
+    def test_sharded_campaign_archives_too(self, store, route):
+        """Every route that executes campaign cells — the serial
+        campaign, a shard run and a queue drain — archives the same
+        artifacts, byte for byte."""
+        tables = [benchmark("hazard_demo")]
+        if route == "campaign":
+            dirty_campaign(store=store).run(tables)
+        elif route == "shard":
+            ShardedCampaign(tables, dirty_campaign()).run_shard(0, 1, store)
+        else:
+            WorkQueue(store, "q").publish_campaign(tables, dirty_campaign())
+            QueueWorker(store, "q", worker_id="w1").run()
+        archived = {
+            name: store.backend.read(name) for name in vcd_names(store)
+        }
+        assert archived
+        reference = ResultStore(MemoryBackend())
+        dirty_campaign(store=reference).run(tables)
+        assert archived == {
+            name: reference.backend.read(name)
+            for name in vcd_names(reference)
+        }
 
     def test_archiving_is_deterministic_across_reruns(self, store):
         tables = [benchmark("hazard_demo")]
