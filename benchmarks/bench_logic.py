@@ -19,10 +19,14 @@ run the same instances (the reference is skipped above
 minutes-per-instance) and their outputs are asserted identical before a
 timing is accepted.
 
+Each flow-table row also records the ``assign`` pass's share of the
+synthesis (``assign_seconds``, from the pipeline's pass report): Tracey
+state assignment is where the chain rows spend their time.
+
 CI runs ``--check``: a reduced re-measurement that fails when the
-suite-level synthesis time regresses more than 2x against the committed
-``BENCH_logic.json`` baseline, or when the wide-function speedup
-collapses below the acceptance floor.
+suite-level synthesis time or the 13-position chain row regresses more
+than 2x against the committed ``BENCH_logic.json`` baseline, or when the
+wide-function speedup collapses below the acceptance floor.
 """
 
 import argparse
@@ -62,6 +66,12 @@ WIDTHS_ENGINE_ONLY = (18, 20, 22, 24, MAX_WIDTH)
 #: Acceptance floor (ISSUE 3): at width >= 16 the bitset engine must be
 #: at least this much faster than the retained reference engine.
 MIN_WIDE_SPEEDUP = 5.0
+
+#: Flow-table rows of the full run, and the one ``--check`` re-times: the
+#: largest row that synthesises in well under a second, so the CI gate
+#: watches the state-assignment cliff without paying for the 17 row.
+CHAIN_POSITIONS = (5, 9, 13, 17)
+CHECK_CHAIN_POSITIONS = 13
 
 
 def wide_function(width: int, seed: int = SEED) -> BooleanFunction:
@@ -193,12 +203,14 @@ def measure_flow_tables(position_counts, rounds: int, seed: int) -> list[dict]:
                 "states": result.table.num_states,
                 "state_variables": result.assignment.encoding.num_variables,
                 "synthesis_seconds": round(seconds, 6),
+                "assign_seconds": round(result.stage_seconds["assign"], 6),
             }
         )
         print(
             f"  chain {positions:2d}: states={rows[-1]['states']:3d} "
             f"vars={rows[-1]['state_variables']} "
-            f"synthesis={seconds * 1000:8.1f} ms"
+            f"synthesis={seconds * 1000:8.1f} ms "
+            f"(assign {rows[-1]['assign_seconds'] * 1000:8.1f} ms)"
         )
     return rows
 
@@ -225,7 +237,7 @@ def generate(args) -> dict:
     )
     print("random flow-table scaling (engine only):")
     # One round: these run seconds-scale, far above the timer noise floor.
-    table_rows = measure_flow_tables((5, 9, 13, 17), 1, args.seed)
+    table_rows = measure_flow_tables(CHAIN_POSITIONS, 1, args.seed)
     suite_seconds = measure_suite(args.rounds)
     print(f"paper suite, serial: {suite_seconds * 1000:.1f} ms")
     wide = [
@@ -253,9 +265,16 @@ def check(args) -> int:
     speedup = rows[0]["speedup"]
     print(f"check: width-12 speedup {speedup:.1f}x")
 
-    # 2. Suite-level synthesis time within 2x of the committed baseline
-    #    (plus an absolute floor so machine jitter cannot fail the gate).
+    # 2. Suite-level synthesis time and the chain row within 2x of the
+    #    committed baseline (plus an absolute floor so machine jitter
+    #    cannot fail the gate).
     suite_seconds = measure_suite(args.rounds)
+    chain = measure_flow_tables((CHECK_CHAIN_POSITIONS,), args.rounds, args.seed)
+    baseline_chain = next(
+        r
+        for r in baseline["flow_tables"]
+        if r["positions"] == CHECK_CHAIN_POSITIONS
+    )
 
     # The rows measured *on this runner* are the trendable telemetry —
     # CI uploads the file as a workflow artifact, so engine_seconds can
@@ -266,6 +285,7 @@ def check(args) -> int:
             json.dumps(
                 {
                     "widths": rows,
+                    "flow_tables": chain,
                     "suite_seconds": round(suite_seconds, 6),
                     "baseline_suite_seconds": baseline["suite_seconds"],
                     "generated_by": "benchmarks/bench_logic.py --check",
@@ -279,13 +299,24 @@ def check(args) -> int:
     if speedup < 2.0:
         print("FAIL: wide-function speedup collapsed below 2x")
         return 1
-    budget = max(2.0 * baseline["suite_seconds"], baseline["suite_seconds"] + 1.0)
-    print(
-        f"check: suite {suite_seconds:.3f}s vs baseline "
-        f"{baseline['suite_seconds']:.3f}s (budget {budget:.3f}s)"
-    )
-    if suite_seconds > budget:
-        print("FAIL: suite-level synthesis time regressed more than 2x")
+    failed = False
+    for label, seconds, committed in (
+        ("suite", suite_seconds, baseline["suite_seconds"]),
+        (
+            f"chain {CHECK_CHAIN_POSITIONS}",
+            chain[0]["synthesis_seconds"],
+            baseline_chain["synthesis_seconds"],
+        ),
+    ):
+        budget = max(2.0 * committed, committed + 1.0)
+        print(
+            f"check: {label} {seconds:.3f}s vs baseline "
+            f"{committed:.3f}s (budget {budget:.3f}s)"
+        )
+        if seconds > budget:
+            print(f"FAIL: {label} synthesis time regressed more than 2x")
+            failed = True
+    if failed:
         return 1
     print("ok")
     return 0

@@ -9,8 +9,9 @@ numbers preserved per commit.  This tool has three modes:
     run's ``batch-telemetry.json`` (``seance batch --json`` output) and
     ``bench-logic-check.json`` (the rows ``bench_logic --check``
     measured on this runner) and emit **one row** stamped with
-    ``--sha``: headline scalars, per-width logic-engine seconds, and
-    per-pass batch seconds.  CI uploads the row as a per-commit
+    ``--sha``: headline scalars, per-width logic-engine seconds,
+    per-position chain-table synthesis seconds, and per-pass batch
+    seconds.  CI uploads the row as a per-commit
     artifact (``telemetry-trend-<sha>``).
 
 ``--merge ROW...``
@@ -81,6 +82,7 @@ HEADLINES = {
 #: ``--merge`` and gated per-label by ``--gate``.
 SERIES_FIELDS = (
     "logic_width_seconds",
+    "logic_chain_seconds",
     "batch_pass_seconds",
     "corpus_family_seconds",
 )
@@ -95,21 +97,15 @@ def _dig(document, path):
     return value
 
 
-def _width_rows(args) -> dict[str, float]:
-    """Per-width engine seconds: prefer the rows ``bench_logic --check``
-    measured on *this* runner; fall back to the committed baseline."""
-    for path, key in (
-        (Path(args.logic_check), "widths"),
-        (ROOT / "BENCH_logic.json", "widths"),
-    ):
+def _logic_rows(args, key: str, label: str, value: str) -> dict[str, float]:
+    """``{label: value}`` over the ``key`` rows of a logic benchmark: prefer
+    the rows ``bench_logic --check`` measured on *this* runner; fall back
+    to the committed baseline."""
+    for path in (Path(args.logic_check), ROOT / "BENCH_logic.json"):
         if not path.is_file():
             continue
         rows = json.loads(path.read_text()).get(key) or []
-        out = {
-            str(r["width"]): r["engine_seconds"]
-            for r in rows
-            if "engine_seconds" in r
-        }
+        out = {str(r[label]): r[value] for r in rows if value in r}
         if out:
             return out
     return {}
@@ -128,9 +124,13 @@ def collect(args) -> int:
             value = _dig(document, keys)
             if value is not None:
                 row[field] = value
-    widths = _width_rows(args)
-    if widths:
-        row["logic_width_seconds"] = widths
+    for field, key, label, value in (
+        ("logic_width_seconds", "widths", "width", "engine_seconds"),
+        ("logic_chain_seconds", "flow_tables", "positions", "synthesis_seconds"),
+    ):
+        series = _logic_rows(args, key, label, value)
+        if series:
+            row[field] = series
     smoke = Path(args.service_smoke)
     if smoke.is_file():
         # The clean service-smoke leg's wall clock (the chaos leg's is
@@ -262,6 +262,9 @@ def merge(args) -> int:
     ]
     _print_table(["sha"] + fields, lines)
     _series_table(rows, "logic_width_seconds", "logic engine seconds by width")
+    _series_table(
+        rows, "logic_chain_seconds", "chain-table synthesis seconds by positions"
+    )
     _series_table(rows, "batch_pass_seconds", "batch seconds by pass")
     _series_table(
         rows, "corpus_family_seconds", "corpus fuzz seconds by family"
@@ -377,7 +380,8 @@ def main() -> int:
     parser.add_argument(
         "--logic-check",
         default="bench-logic-check.json",
-        help="a `bench_logic --check` capture of per-width rows",
+        help="a `bench_logic --check` capture of per-width and "
+        "chain-table rows",
     )
     parser.add_argument(
         "--service-smoke",

@@ -16,6 +16,16 @@ Two facts drive the algorithm:
   right blocks, and a set of pairwise-compatible dichotomies merges as a
   whole (unions of lefts and rights stay disjoint), so maximal merged
   dichotomies are maximal cliques of the pairwise-compatibility graph.
+
+Two lemmas make that enumeration cheap (:func:`merged_dichotomies`):
+
+* **mirror pairs** — swapping the blocks of both ends preserves
+  compatibility and no clique holds both orientations of one seed, so
+  maximal cliques come in disjoint mirror pairs; one member per pair is
+  enumerated;
+* **coverage by maximality** — a seed orientation whose blocks lie inside
+  a maximal clique's merged dichotomy is compatible with every member, so
+  it is a member: the seeds a candidate covers are read off its clique.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ def state_bits(dichotomies: list[Dichotomy]) -> dict[str, int]:
 
     The returned mapping, together with :func:`block_mask`, is the shared
     packing convention for every bitset consumer of dichotomy blocks
-    (:func:`maximal_merged_dichotomies`, :func:`seed_coverage_sets`, and
+    (:func:`merged_dichotomies` and
     :func:`repro.assign.tracey.absorb_seeds`).
     """
     states = sorted({s for d in dichotomies for s in d.states})
@@ -111,109 +121,151 @@ def block_mask(block: frozenset[str], bit_of: dict[str, int]) -> int:
     return bits
 
 
-def maximal_merged_dichotomies(seeds: list[Dichotomy]) -> list[Dichotomy]:
-    """All maximal merges of pairwise-compatible seed orientations.
+def merged_dichotomies(
+    seeds: list[Dichotomy],
+) -> tuple[list[Dichotomy], list[frozenset[int]]]:
+    """Tracey's candidate state variables and the seeds each one covers.
 
-    Both orientations of every seed participate; the result is
-    deduplicated up to orientation and deterministically ordered.  Each
-    returned dichotomy corresponds to one candidate state variable.
+    Returns the maximal merged dichotomies of
+    :func:`maximal_merged_dichotomies` and, for each, the indices into
+    ``seeds`` of the seeds it :meth:`~Dichotomy.covers` — the incidence
+    input of the covering step in :func:`repro.assign.tracey.assign_states`.
 
-    The pairwise-compatibility graph, the Bron-Kerbosch recursion state
-    and the block unions all run on packed bitsets: state blocks become
-    incidence ints (compatibility is two ``&`` tests), vertex sets become
-    one int each, and a clique's merged dichotomy is the OR of its
-    members' block masks.  The set of maximal cliques — and therefore the
-    returned dichotomies — is unchanged from the set-based original.
+    Distinct seeds are numbered ``k`` (duplicates and mirrored duplicates
+    share a number); vertex ``2k`` is seed ``k`` as given and vertex
+    ``2k + 1`` its mirror.  Three lemmas shape the enumeration:
+
+    * **Mirror pairs.**  Swapping both dichotomies' blocks preserves
+      compatibility, and no clique holds both orientations of one seed
+      (its blocks would overlap), so maximal cliques come in disjoint
+      mirror pairs merging to the two orientations of one dichotomy.
+      Rooting the search at ``R = {2k}`` with ``P`` the neighbours from
+      seeds above ``k`` and ``X`` those from seeds below ``k`` emits
+      exactly the pair member holding vertex ``2k`` for the smallest
+      seed ``k`` the pair touches: one clique per pair.
+    * **Coverage by maximality.**  A seed orientation whose blocks lie
+      inside a maximal clique's merged ``(L; R)`` is compatible with
+      every member, so it is already a member: a candidate covers
+      exactly the seeds of its clique, folded over mirror pairs.
+    * **No duplicates.**  Two maximal cliques merging to the same
+      dichotomy would have a clique as their union, so distinct pairs
+      yield distinct candidates.
+
+    The recursion is Bron–Kerbosch with the Tomita pivot (Tomita, Tanaka
+    & Takahashi 2006) on vertex bitsets walked as ``low = v & -v``.
+    States are bit positions in sorted-name order, so sorting candidates
+    on their blocks' bit-index tuples is sorting on their name lists.
     """
-    oriented: list[Dichotomy] = []
-    seen: set[tuple[frozenset[str], frozenset[str]]] = set()
-    for seed in seeds:
-        for d in (seed, seed.reversed()):
-            key = (d.left, d.right)
-            if key not in seen:
-                seen.add(key)
-                oriented.append(d)
+    bit_of = state_bits(seeds)
+    states = sorted(bit_of)
+    lefts: list[int] = []
+    rights: list[int] = []
+    holders: list[list[int]] = []  # input positions of each distinct seed
+    number: dict[tuple[int, int], int] = {}
+    for i, seed in enumerate(seeds):
+        left = block_mask(seed.left, bit_of)
+        right = block_mask(seed.right, bit_of)
+        k = number.get((left, right))
+        if k is None:
+            k = number[(left, right)] = number[(right, left)] = len(holders)
+            holders.append([])
+            lefts += (left, right)
+            rights += (right, left)
+        holders[k].append(i)
 
-    n = len(oriented)
-    bit_of = state_bits(oriented)
-    states = sorted(bit_of, key=bit_of.get)
-    lefts = [block_mask(d.left, bit_of) for d in oriented]
-    rights = [block_mask(d.right, bit_of) for d in oriented]
-
-    # compatible[i] is the vertex bitset of the orientations i can merge
-    # with: lefts must avoid each other's rights in both directions.
-    compatible = [0] * n
-    for i in range(n):
-        li, ri = lefts[i], rights[i]
-        for j in range(i + 1, n):
-            if not (li & rights[j]) and not (ri & lefts[j]):
-                compatible[i] |= 1 << j
-                compatible[j] |= 1 << i
+    # adj[v] is the vertex bitset of the orientations v can merge with;
+    # each test on an even vertex also settles the mirrored edge.
+    n = len(lefts)
+    adj = [0] * n
+    for u in range(0, n, 2):
+        lu, ru = lefts[u], rights[u]
+        for v in range(u + 2, n):
+            if not (lu & rights[v]) and not (ru & lefts[v]):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                adj[u + 1] |= 1 << (v ^ 1)
+                adj[v ^ 1] |= 1 << (u + 1)
 
     cliques: list[int] = []
 
-    def bron_kerbosch(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            cliques.append(r)
-            return
-        pivot = max(
-            iter_bits(p | x), key=lambda v: (compatible[v] & p).bit_count()
-        )
-        for v in iter_bits(p & ~compatible[pivot]):
-            bit = 1 << v
-            bron_kerbosch(r | bit, p & compatible[v], x & compatible[v])
-            p &= ~bit
-            x |= bit
+    def expand(r: int, p: int, x: int) -> None:
+        # Tomita pivot: the vertex of x | p with the most neighbours in p.
+        # An excluded vertex adjacent to all of p would extend every
+        # clique grown here, so none of them is maximal: prune.  Scanning
+        # x before p lets that prune fire early.
+        best = -1
+        spared = 0
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            inside = adj[low.bit_length() - 1] & p
+            if inside == p:
+                return
+            count = inside.bit_count()
+            if count > best:
+                best = count
+                spared = inside
+        rest = p
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            inside = adj[low.bit_length() - 1] & p
+            count = inside.bit_count()
+            if count > best:
+                best = count
+                spared = inside
+        branch = p & ~spared
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            near = adj[low.bit_length() - 1]
+            if p & near:
+                expand(r | low, p & near, x & near)
+            elif not x & near:
+                cliques.append(r | low)
+            p ^= low
+            x |= low
 
-    bron_kerbosch(0, (1 << n) - 1 if n else 0, 0)
+    for u in range(0, n, 2):
+        near = adj[u]
+        below = (1 << u) - 1
+        if near & ~below:
+            expand(1 << u, near & ~below, near & below)
+        elif not near:
+            cliques.append(1 << u)
 
-    merged: list[Dichotomy] = []
-    seen_canonical: set[tuple[frozenset[str], frozenset[str]]] = set()
+    rows = []
     for clique in cliques:
-        left_bits = 0
-        right_bits = 0
+        left = right = 0
+        covered: list[int] = []
         for v in iter_bits(clique):
-            left_bits |= lefts[v]
-            right_bits |= rights[v]
-        combined = Dichotomy(
-            frozenset(states[k] for k in iter_bits(left_bits)),
-            frozenset(states[k] for k in iter_bits(right_bits)),
+            left |= lefts[v]
+            right |= rights[v]
+            covered += holders[v >> 1]
+        a = tuple(iter_bits(left))
+        b = tuple(iter_bits(right))
+        if a > b:
+            a, b = b, a
+        rows.append((a, b, frozenset(covered)))
+    rows.sort(key=lambda row: row[:2])
+    candidates = [
+        Dichotomy(
+            frozenset(states[k] for k in a), frozenset(states[k] for k in b)
         )
-        canon = combined.canonical()
-        key = (canon.left, canon.right)
-        if key not in seen_canonical:
-            seen_canonical.add(key)
-            merged.append(canon)
-    merged.sort(key=lambda d: (sorted(d.left), sorted(d.right)))
-    return merged
+        for a, b, _ in rows
+    ]
+    return candidates, [covered for _, _, covered in rows]
 
 
-def seed_coverage_sets(
-    candidates: list[Dichotomy], seeds: list[Dichotomy]
-) -> list[frozenset[int]]:
-    """For each candidate, the indices of the seeds it :meth:`covers`.
+def maximal_merged_dichotomies(seeds: list[Dichotomy]) -> list[Dichotomy]:
+    """All maximal merges of pairwise-compatible seed orientations.
 
-    This is the incidence input of the Tracey covering step
-    (:func:`repro.assign.tracey.assign_states`); blocks are compared as
-    packed bitsets so each candidate-seed test is four ``&`` ops instead
-    of four frozenset subset checks.
+    Both orientations of every seed participate.  Each maximal clique of
+    the compatibility graph, taken up to its mirror, merges to one
+    returned dichotomy — one candidate state variable — in canonical
+    orientation; the list is sorted on the blocks' sorted state names.
+    See :func:`merged_dichotomies`, which also returns each candidate's
+    covered seeds.
     """
-    bit_of = state_bits(list(candidates) + list(seeds))
-    cand_blocks = [
-        (block_mask(c.left, bit_of), block_mask(c.right, bit_of))
-        for c in candidates
-    ]
-    seed_blocks = [
-        (block_mask(s.left, bit_of), block_mask(s.right, bit_of))
-        for s in seeds
-    ]
-    covered: list[frozenset[int]] = []
-    for cl, cr in cand_blocks:
-        hits = []
-        for k, (sl, sr) in enumerate(seed_blocks):
-            if (sl & ~cl == 0 and sr & ~cr == 0) or (
-                sl & ~cr == 0 and sr & ~cl == 0
-            ):
-                hits.append(k)
-        covered.append(frozenset(hits))
-    return covered
+    return merged_dichotomies(seeds)[0]

@@ -12,8 +12,9 @@ The algorithm, following Tracey (1966) as the paper cites:
    bit-vector assignment".
 
 2. **Merged dichotomies.**  Maximal merges of compatible seed
-   orientations (:func:`~repro.assign.dichotomy.maximal_merged_dichotomies`)
-   are the candidate state variables.
+   orientations are the candidate state variables; one enumeration
+   (:func:`~repro.assign.dichotomy.merged_dichotomies`) also yields the
+   seeds each candidate covers.
 
 3. **Covering.**  A minimum family of merged dichotomies covering every
    seed gives the fewest state variables — the paper's "general algorithm
@@ -38,8 +39,7 @@ from .dichotomy import (
     Dichotomy,
     block_mask,
     state_bits,
-    maximal_merged_dichotomies,
-    seed_coverage_sets,
+    merged_dichotomies,
 )
 from .encoding import StateEncoding
 
@@ -144,11 +144,8 @@ def assign_states(
         return AssignmentResult(encoding, (), (), True)
 
     seeds = seed_dichotomies(table, uniqueness=uniqueness)
-    candidates = maximal_merged_dichotomies(seeds)
-
-    universe: set[int] = set(range(len(seeds)))
-    candidate_sets = seed_coverage_sets(candidates, seeds)
-    cover = minimum_set_cover(universe, candidate_sets)
+    candidates, candidate_sets = merged_dichotomies(seeds)
+    cover = minimum_set_cover(set(range(len(seeds))), candidate_sets)
     chosen = [candidates[i] for i in cover.chosen]
 
     variables = tuple(f"y{i + 1}" for i in range(len(chosen)))

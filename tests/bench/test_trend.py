@@ -166,3 +166,67 @@ class TestCommandLine:
         result = self._run(tmp_path, (1.0, 1.6))
         assert result.returncode == 0
         assert "nothing to compare yet" in result.stdout
+
+
+class TestCollect:
+    """``--collect`` folds the logic benchmark's rows into labelled series."""
+
+    def _collect(self, tmp_path, logic_check):
+        out = tmp_path / "row.json"
+        result = subprocess.run(
+            [
+                sys.executable,
+                str(BENCHMARKS / "trend.py"),
+                "--collect",
+                "--logic-check",
+                str(logic_check),
+                "--batch-telemetry",
+                str(tmp_path / "absent.json"),
+                "--out",
+                str(out),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        return json.loads(out.read_text())
+
+    def test_runner_rows_are_preferred(self, tmp_path):
+        check = tmp_path / "bench-logic-check.json"
+        check.write_text(
+            json.dumps(
+                {
+                    "widths": [{"width": 12, "engine_seconds": 0.5}],
+                    "flow_tables": [
+                        {"positions": 13, "synthesis_seconds": 0.25}
+                    ],
+                }
+            )
+        )
+        row = self._collect(tmp_path, check)
+        assert row["logic_width_seconds"] == {"12": 0.5}
+        assert row["logic_chain_seconds"] == {"13": 0.25}
+
+    def test_committed_baseline_is_the_fallback(self, tmp_path):
+        committed = json.loads(
+            (BENCHMARKS.parent / "BENCH_logic.json").read_text()
+        )
+        row = self._collect(tmp_path, tmp_path / "absent.json")
+        assert row["logic_chain_seconds"] == {
+            str(r["positions"]): r["synthesis_seconds"]
+            for r in committed["flow_tables"]
+        }
+
+    def test_chain_rows_gate_per_position(self):
+        rows = [
+            {
+                "sha": f"c{i}",
+                "logic_chain_seconds": {
+                    "9": 0.03,
+                    "13": 0.6 if i >= 3 else 0.2,
+                },
+            }
+            for i in range(6)
+        ]
+        names = [name for name, _, _ in trend.gate_failures(rows)]
+        assert names == ["logic_chain_seconds[13]"]
