@@ -17,9 +17,13 @@ from repro.pipeline import StageCache
 #: One stage cache shared by every bench module: set-up synthesis of the
 #: same (table, options, pass-prefix) — the hazard ablation building its
 #: protected machine, the cover ablation inspecting the same spec — runs
-#: each pass once per session.  Because ablations are *pass
-#: substitutions*, an ablated run still shares every stage upstream of
-#: the swapped pass with the paper-default run.
+#: each pass once per session.  A pass substitution (``hazards:off``,
+#: ``outputs:all-primes``) still shares every stage upstream of the
+#: swapped pass with the paper-default run; an option ablation
+#: (``hazard_correction``, ``reduce_mode``, ``minimize``) shares none,
+#: because the options are hashed whole into every stage key.  That
+#: only costs set-up time: ablation timings come from
+#: :func:`cold_report`, which is uncached.
 _CACHE = StageCache()
 
 

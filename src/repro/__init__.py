@@ -40,7 +40,7 @@ Quickstart
 """
 
 from . import api
-from .api import PipelineSpec, Session, load
+from .api import PipelineSpec, Session, load, synthesize
 from .bench import (
     PAPER_TABLE1,
     TABLE1_BENCHMARKS,
@@ -50,14 +50,9 @@ from .bench import (
     synthesize_suite,
 )
 from .core import (
-    Seance,
     SynthesisOptions,
     SynthesisResult,
 )
-
-# The package-level one-shot keeps the historical `table` parameter
-# name (keyword callers exist); it routes through repro.api internally.
-from .core.seance import synthesize
 from .errors import (
     CoveringError,
     FlowTableError,
@@ -83,7 +78,6 @@ from .pipeline import (
     BatchRunner,
     PassManager,
     StageCache,
-    synthesize_batch,
 )
 from .sim import (
     FantomHarness,
@@ -114,7 +108,6 @@ __all__ = [
     "PassManager",
     "PipelineSpec",
     "ReproError",
-    "Seance",
     "Session",
     "StageCache",
     "SimulationError",
@@ -137,7 +130,6 @@ __all__ = [
     "skewed_random",
     "synthesize",
     "synthesize_and_validate",
-    "synthesize_batch",
     "synthesize_suite",
     "timing_report",
     "validate_against_reference",

@@ -8,10 +8,12 @@ synthesis lives here, under names rather than live objects:
   :class:`~repro.flowtable.burst.BurstSpec` — with :func:`load`.
 * **Configure** with a declarative :class:`PipelineSpec` (registry pass
   names + :class:`SynthesisOptions` + :class:`CacheSpec`); ablations are
-  pass substitutions (``spec.substitute("factor:joint")``), and specs
-  round-trip through JSON for reproducible, shareable runs.
+  option fields (``spec.with_options(reduce_mode="joint")``) or, for
+  behaviour no option selects, pass substitutions
+  (``spec.substitute("hazards:off")``), and specs round-trip through
+  JSON for reproducible, shareable runs.
 * **Run** through the fluent :class:`Session`
-  (``api.load("lion").with_pass("fsv:unprotected").run()``), the
+  (``api.load("lion").with_options(hazard_correction=False).run()``), the
   one-shot :func:`synthesize`, or :func:`batch`.
 * **Serialise** results: :class:`SynthesisResult` round-trips through
   ``to_dict``/``from_dict`` byte-identically — the wire format for
@@ -24,8 +26,9 @@ synthesis lives here, under names rather than live objects:
   or campaign cell grid across machines by the same content hashes
   (``seance shard run``/``merge``).
 
-The older entry points (``repro.core.seance``, direct
-``PassManager(...)`` construction) remain as shims over this module.
+Direct ``PassManager(...)`` construction remains available for callers
+that need a live pass list; ``repro.synthesize`` is this module's
+:func:`synthesize`.
 """
 
 from ..core.result import SynthesisResult

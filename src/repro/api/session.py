@@ -8,10 +8,13 @@ derivation chain *shares the same cache object*, so an ablation sweep —
 
     base = api.load("lion")
     paper = base.run()
-    joint = base.with_pass("factor:joint").run()
+    bare = base.with_pass("hazards:off").run()
 
-— re-executes only the substituted stage (the upstream stage-cache
-entries carry over; see :mod:`repro.pipeline.registry`).
+— re-executes only the substituted stage and those after it (the
+upstream stage-cache entries carry over; see
+:mod:`repro.pipeline.registry`).  An option change
+(``with_options(reduce_mode="joint")``) re-runs every stage: options
+are hashed whole into each stage key.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class Session:
         return self._derive(self._spec.with_passes(*passes))
 
     def with_pass(self, *overrides: str) -> "Session":
-        """Substitute stages by base name (``"factor:joint"`` → factor)."""
+        """Substitute stages by base name (``"hazards:off"`` → hazards)."""
         return self._derive(self._spec.substitute(*overrides))
 
     def with_cache(self, cache) -> "Session":
@@ -232,8 +235,7 @@ def synthesize(
     ``api.synthesize(table, SynthesisOptions(minimize=False))``).
 
     A one-shot run has nothing to reuse, so no stage cache is built
-    unless the caller passes one (or configures one in ``spec``) —
-    exactly the old ``core.seance.synthesize`` behaviour.
+    unless the caller passes one (or configures one in ``spec``).
     """
     if cache is None and spec is not None:
         cache = spec.cache.build()

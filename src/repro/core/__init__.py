@@ -2,8 +2,9 @@
 
 This package holds the paper's primary contribution: the excitation model
 of the encoded machine, the output/SSD determination stage, the Figure-4
-hazard search, the fantom-state-variable construction, the Figure-5
-hazard factoring, and the pipeline driver tying them together.
+hazard search, the fantom-state-variable construction and the Figure-5
+hazard factoring.  :mod:`repro.pipeline` runs them as passes;
+:mod:`repro.api` is the front door.
 """
 
 from .factoring import FactoredEquation, factor_fsv, factor_next_state
@@ -21,16 +22,15 @@ from .result import SynthesisResult
 from .spec import SpecifiedMachine
 from .ssd import SsdEquation, synthesize_ssd
 
-# Imported last: the facade pulls in repro.pipeline, whose passes import
-# the core submodules above while this package is mid-initialisation.
-from .seance import Seance, SynthesisOptions, synthesize
+# Imported last: repro.pipeline's passes import the core submodules
+# above while this package is mid-initialisation.
+from ..pipeline.options import SynthesisOptions
 
 __all__ = [
     "FSV_NAME",
     "FactoredEquation",
     "HazardAnalysis",
     "OutputEquation",
-    "Seance",
     "SpecifiedMachine",
     "SsdEquation",
     "SynthesisOptions",
@@ -43,7 +43,6 @@ __all__ = [
     "next_state_function",
     "next_state_functions",
     "state_space_growth",
-    "synthesize",
     "synthesize_outputs",
     "synthesize_ssd",
 ]

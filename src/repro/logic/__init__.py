@@ -18,7 +18,6 @@ This package is the substrate under every synthesis stage of SEANCE:
 from .bitset import (
     CHUNK_BITS,
     DENSE_WIDTH_LIMIT,
-    Bitset,
     ChunkedMask,
     chunked_coverage,
     coverage_mask,
@@ -72,7 +71,6 @@ from .quine_mccluskey import (
 
 __all__ = [
     "And",
-    "Bitset",
     "BooleanFunction",
     "CHUNK_BITS",
     "ChunkedMask",

@@ -10,14 +10,10 @@ O(minterms) interpreted loop over a ``set`` of boxed ints.  That constant
 factor is what turns :data:`repro.logic.function.MAX_WIDTH` from a nominal
 limit into a usable one (see ``benchmarks/bench_logic.py``).
 
-Two layers are provided:
-
-* module-level helpers (:func:`mask_of`, :func:`iter_bits`,
-  :func:`coverage_mask`, ...) operating on *raw ints* — these are what the
-  hot paths in :mod:`~repro.logic.quine_mccluskey`,
-  :mod:`~repro.logic.cover` and :mod:`repro.util.setcover` use;
-* the :class:`Bitset` wrapper — an immutable, hashable, set-like facade
-  over one raw int for callers that want a typed object.
+The module-level helpers (:func:`mask_of`, :func:`iter_bits`,
+:func:`coverage_mask`, ...) operate on *raw ints*; they are what the hot
+paths in :mod:`~repro.logic.quine_mccluskey`, :mod:`~repro.logic.cover`
+and :mod:`repro.util.setcover` use.
 
 The key primitive is :func:`coverage_mask`: the bitset of every minterm a
 cube ``(mask, value)`` covers, built by subset-doubling in O(width)
@@ -113,126 +109,6 @@ def half_space(width: int, var: int) -> int:
         pattern |= pattern << span
         span <<= 1
     return pattern
-
-
-class Bitset:
-    """An immutable, hashable set of non-negative ints packed in one int.
-
-    Supports the standard set algebra (``| & - ^``), containment,
-    iteration in increasing order, ``len``, and subset comparisons.  The
-    raw int is exposed as :attr:`bits` for interop with the module-level
-    helpers.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int = 0) -> None:
-        if bits < 0:
-            raise ValueError(f"bitset int must be non-negative, got {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Bitset is immutable")
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_iterable(cls, members: Iterable[int]) -> "Bitset":
-        return cls(mask_of(members))
-
-    # ------------------------------------------------------------------
-    # Set protocol
-    # ------------------------------------------------------------------
-    def __contains__(self, member: int) -> bool:
-        return member >= 0 and self.bits >> member & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Bitset):
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    # ------------------------------------------------------------------
-    # Algebra
-    # ------------------------------------------------------------------
-    def __or__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits | other.bits)
-
-    def __and__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits & other.bits)
-
-    def __sub__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits & ~other.bits)
-
-    def __xor__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits ^ other.bits)
-
-    def __le__(self, other: "Bitset") -> bool:
-        return is_subset(self.bits, other.bits)
-
-    def __lt__(self, other: "Bitset") -> bool:
-        return self.bits != other.bits and is_subset(self.bits, other.bits)
-
-    def __ge__(self, other: "Bitset") -> bool:
-        return is_subset(other.bits, self.bits)
-
-    def __gt__(self, other: "Bitset") -> bool:
-        return self.bits != other.bits and is_subset(other.bits, self.bits)
-
-    def isdisjoint(self, other: "Bitset") -> bool:
-        return self.bits & other.bits == 0
-
-    def issubset(self, other: "Bitset") -> bool:
-        return is_subset(self.bits, other.bits)
-
-    def issuperset(self, other: "Bitset") -> bool:
-        return is_subset(other.bits, self.bits)
-
-    def intersects(self, other: "Bitset") -> bool:
-        return self.bits & other.bits != 0
-
-    def add(self, member: int) -> "Bitset":
-        """A new bitset with ``member`` included (bitsets are immutable)."""
-        if member < 0:
-            raise ValueError(f"bitset members must be non-negative, got {member}")
-        return Bitset(self.bits | 1 << member)
-
-    def discard(self, member: int) -> "Bitset":
-        """A new bitset with ``member`` excluded (bitsets are immutable)."""
-        if member < 0:
-            return self
-        return Bitset(self.bits & ~(1 << member))
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def min(self) -> int:
-        """Smallest member; raises :class:`ValueError` when empty."""
-        if not self.bits:
-            raise ValueError("min() of an empty bitset")
-        return (self.bits & -self.bits).bit_length() - 1
-
-    def max(self) -> int:
-        """Largest member; raises :class:`ValueError` when empty."""
-        if not self.bits:
-            raise ValueError("max() of an empty bitset")
-        return self.bits.bit_length() - 1
-
-    def __repr__(self) -> str:
-        return f"Bitset({{{', '.join(map(str, self))}}})"
 
 
 class ChunkedMask:

@@ -1,6 +1,6 @@
 """The synthesis pass pipeline: manager, passes, stage cache, batch runner.
 
-This package is the engine under :func:`repro.core.seance.synthesize`.
+This package is the engine under :func:`repro.api.synthesize`.
 The paper's seven Figure-3 steps are :class:`Pass` objects
 (:mod:`repro.pipeline.passes`); :class:`PassManager` runs a declarative
 pass list over a :class:`PipelineContext` artifact store with per-pass
@@ -19,7 +19,7 @@ Typical use::
     print(report.describe())               # per-pass ms + cache hits
 """
 
-from .batch import BatchItem, BatchRunner, synthesize_batch
+from .batch import BatchItem, BatchRunner
 from .cache import (
     CACHE_FORMAT_VERSION,
     StageCache,
@@ -84,6 +84,5 @@ __all__ = [
     "run_fingerprint",
     "stage_key",
     "substitute",
-    "synthesize_batch",
     "table_fingerprint",
 ]

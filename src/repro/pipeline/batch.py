@@ -380,16 +380,3 @@ class BatchRunner:
             # once.  An abandoned generator: cancel queued work instead
             # of blocking the consumer until the whole batch finishes.
             pool.shutdown(wait=False, cancel_futures=True)
-
-
-def synthesize_batch(
-    tables: Sequence[FlowTable],
-    options: SynthesisOptions | None = None,
-    jobs: int | None = None,
-    cache: StageCache | None = None,
-    spec: PipelineSpec | None = None,
-) -> list[BatchItem]:
-    """One-shot convenience wrapper around :class:`BatchRunner`."""
-    return BatchRunner(
-        options=options, jobs=jobs, cache=cache, spec=spec
-    ).run(tables)

@@ -1,11 +1,9 @@
 """Synthesis options: the knobs of the pass pipeline (paper defaults).
 
-Historically this dataclass lived in :mod:`repro.core.seance`; it moved
-here when the monolithic ``Seance.run`` became a pass pipeline, because
-every pass (and the stage cache, which fingerprints options) needs it
-while :mod:`repro.core.seance` is now a thin facade *over* the pipeline.
-``repro.core.seance.SynthesisOptions`` remains a re-export, so existing
-imports keep working.
+Every pass reads them, and the stage cache fingerprints them whole.
+Each ablation of the paper's flow (Step 2 reduction, the Step 6 fsv
+correction, the Step 7 reduction style) is one field here, not a pass
+variant.
 """
 
 from __future__ import annotations

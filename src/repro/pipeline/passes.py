@@ -23,7 +23,7 @@ future workloads build alternative lists from the same parts (or new
 Every class here registers itself in the named-pass registry
 (:mod:`repro.pipeline.registry`), the default stages under their stage
 names and the ablation variants under ``stage:variant`` keys
-(``"factor:joint"``, ``"hazards:off"``, ...).  A variant keeps its base
+(``"hazards:off"``, ``"outputs:all-primes"``).  A variant keeps its base
 ``name`` — it caches, times, and reports as the stage it replaces — so
 swapping one in is a pure pass substitution, shape-preserving for every
 consumer of ``stage_seconds`` and :class:`PipelineReport`.
@@ -208,46 +208,11 @@ class FactorPass:
 
 
 # ----------------------------------------------------------------------
-# Registered ablation variants.  Each keeps its base stage name (it is a
-# drop-in substitution) but is a distinct class, so the stage-cache
-# lineage distinguishes it from the default implementation.
+# Registered ablation variants: behaviour no SynthesisOptions field
+# selects.  Each keeps its base stage name (it is a drop-in
+# substitution) but is a distinct class, so the stage-cache lineage
+# distinguishes it from the default implementation.
 # ----------------------------------------------------------------------
-@register_pass("validate:off")
-class SkipValidatePass:
-    """Step 1 disabled: accept the table as given (ablation/testing)."""
-
-    name = "validate"
-    requires: tuple[str, ...] = ()
-    provides: tuple[str, ...] = ()
-    cacheable = True
-
-    def run(self, ctx: PipelineContext) -> None:
-        return None
-
-
-@register_pass("reduce:off")
-class TrivialReducePass:
-    """Step 2 disabled: keep every original state (one class per state).
-
-    Unlike ``options.minimize=False`` this ignores the options entirely —
-    the substitution *is* the knob.
-    """
-
-    name = "reduce"
-    requires: tuple[str, ...] = ()
-    provides = ("reduction", "working")
-    cacheable = True
-
-    def run(self, ctx: PipelineContext) -> None:
-        reduction = ReductionResult(
-            table=ctx.table,
-            cover=_trivial_cover(ctx.table),
-            state_map={s: (s,) for s in ctx.table.states},
-        )
-        ctx.set("reduction", reduction)
-        ctx.set("working", reduction.table)
-
-
 @register_pass("outputs:all-primes")
 class AllPrimesOutputsPass:
     """Step 4 with all-primes covers for Z and SSD.
@@ -304,8 +269,9 @@ class SkipHazardsPass:
     """Step 5 disabled: report an *empty* hazard analysis without searching.
 
     Downstream stages then build the unprotected machine, and the result
-    records no hazard points at all (contrast ``fsv:unprotected``, which
-    still runs the search and reports what it knowingly leaves in).
+    records no hazard points at all (contrast
+    ``hazard_correction=False``, which still runs the search and reports
+    what it knowingly leaves in).
     """
 
     name = "hazards"
@@ -320,74 +286,6 @@ class SkipHazardsPass:
         ctx.set(
             "analysis", HazardAnalysis(num_state_vars=spec.num_state_vars)
         )
-
-
-@register_pass("fsv:unprotected")
-class UnprotectedFsvPass:
-    """Step 6 without the hazard correction: ``fsv`` is the constant 0.
-
-    The Figure-4 analysis artifact is left untouched (and reported), so
-    the result records which hazards were knowingly left in — this is
-    the unprotected machine of the hazard-ablation benchmark, as a pass
-    substitution instead of ``options.hazard_correction=False``.
-    """
-
-    name = "fsv"
-    requires = ("spec", "analysis")
-    provides = ("fsv_fn", "y_fns")
-    cacheable = True
-
-    def run(self, ctx: PipelineContext) -> None:
-        from ..core.fsv import fsv_function, next_state_functions
-        from ..core.hazard_analysis import HazardAnalysis
-
-        spec = ctx.get("spec")
-        empty = HazardAnalysis(num_state_vars=spec.num_state_vars)
-        ctx.set("fsv_fn", fsv_function(spec, empty))
-        ctx.set("y_fns", next_state_functions(spec, empty))
-
-
-class _ForcedModeFactorPass:
-    """Step 7 with the reduction style pinned (ignores ``reduce_mode``)."""
-
-    name = "factor"
-    requires = ("spec", "fsv_fn", "y_fns")
-    provides = ("fsv", "next_state")
-    cacheable = True
-    reduce_mode = "split"
-
-    def run(self, ctx: PipelineContext) -> None:
-        from ..core.factoring import factor_fsv, factor_next_state
-
-        spec = ctx.get("spec")
-        fsv_index = spec.width
-        ctx.set("fsv", factor_fsv(ctx.get("fsv_fn")))
-        ctx.set(
-            "next_state",
-            [
-                factor_next_state(
-                    fn,
-                    fsv_index,
-                    name=spec.encoding.variables[n],
-                    reduce_mode=self.reduce_mode,
-                )
-                for n, fn in enumerate(ctx.get("y_fns"))
-            ],
-        )
-
-
-@register_pass("factor:split")
-class SplitFactorPass(_ForcedModeFactorPass):
-    """Step 7 pinned to the paper's split (per-half) reduction."""
-
-    reduce_mode = "split"
-
-
-@register_pass("factor:joint")
-class JointFactorPass(_ForcedModeFactorPass):
-    """Step 7 pinned to joint reduction over the doubled space (ablation)."""
-
-    reduce_mode = "joint"
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +304,8 @@ class VerifyPass:
     The pass assembles the gate-level FANTOM machine from the pipeline
     artifacts and runs a small :class:`~repro.sim.campaign.
     ValidationCampaign` (``SWEEP`` seeded walks under each of
-    ``MODELS``) on the compiled simulation kernel.  A dirty machine
+    ``MODELS``) on the event-ring kernel that
+    :func:`~repro.sim.campaign.default_engine` selects.  A dirty machine
     raises :class:`~repro.errors.ValidationError`, failing the run; a
     clean one stores the :class:`~repro.sim.campaign.CampaignResult`
     as the ``validation`` artifact.

@@ -1,14 +1,17 @@
 """The named-pass registry: string keys to pass factories.
 
 Every pass the pipeline can run is registered under a string key —
-``"reduce"``, ``"factor:joint"``, ``"hazards:off"`` — so that pipelines
-can be *named and serialised* (a :class:`~repro.pipeline.spec.PipelineSpec`
-is a list of these keys plus options) instead of passed around as live
-Python objects.  Ablations and new workloads become **pass
-substitutions**: replacing ``"factor"`` with ``"factor:joint"`` swaps
-the Step-7 reduction style without touching any option flag, and the
-substituted run shares every stage-cache entry upstream of the swap with
-the paper-default run (same table, same options, same pass prefix).
+``"reduce"``, ``"hazards:off"``, ``"outputs:all-primes"`` — so that
+pipelines can be *named and serialised* (a
+:class:`~repro.pipeline.spec.PipelineSpec` is a list of these keys plus
+options) instead of passed around as live Python objects.  Behaviour no
+:class:`~repro.pipeline.options.SynthesisOptions` field selects becomes
+a **pass substitution**: replacing ``"hazards"`` with ``"hazards:off"``
+skips the Step-5 search, and the substituted run shares every
+stage-cache entry upstream of the swap with the paper-default run (same
+table, same options, same pass prefix).  Ablations an option already
+covers (``minimize``, ``hazard_correction``, ``reduce_mode``,
+``validate_input``) have no pass variant: one knob per ablation.
 
 Key grammar
 -----------
@@ -23,9 +26,9 @@ Registration
 ------------
 Pass classes self-register with the decorator::
 
-    @register_pass("factor:joint")
-    class JointFactorPass:
-        name = "factor"
+    @register_pass("hazards:off")
+    class SkipHazardsPass:
+        name = "hazards"
         ...
 
 Factories (for passes needing construction arguments) register the same
@@ -82,7 +85,7 @@ def register_pass(key: str):
 
 
 def base_name(key: str) -> str:
-    """The stage a key belongs to (``"factor:joint"`` -> ``"factor"``)."""
+    """The stage a key belongs to (``"hazards:off"`` -> ``"hazards"``)."""
     return key.split(":", 1)[0]
 
 
@@ -136,8 +139,8 @@ def resolve_passes(keys) -> tuple:
 def substitute(pipeline: tuple[str, ...], *overrides: str) -> tuple[str, ...]:
     """Replace pipeline entries by base name.
 
-    ``substitute(DEFAULT_PIPELINE, "factor:joint")`` yields the default
-    pipeline with its ``factor`` stage swapped for the joint-reduction
+    ``substitute(DEFAULT_PIPELINE, "hazards:off")`` yields the default
+    pipeline with its ``hazards`` stage swapped for the no-search
     variant.  An override whose base name matches no pipeline entry is
     an error (a silent no-op would make ablation specs lie).
     """

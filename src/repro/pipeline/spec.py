@@ -158,7 +158,7 @@ class PipelineSpec:
         return dataclasses.replace(self, passes=tuple(passes))
 
     def substitute(self, *overrides: str) -> "PipelineSpec":
-        """Swap stages by base name (``spec.substitute("factor:joint")``)."""
+        """Swap stages by base name (``spec.substitute("hazards:off")``)."""
         return dataclasses.replace(
             self, passes=_substitute(self.passes, *overrides)
         )

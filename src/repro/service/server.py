@@ -124,8 +124,9 @@ class TokenBucket:
     bursting to ``burst``).  :meth:`acquire` answers 0.0 when admitted,
     else the seconds until a token will be available — the 429's
     ``retry_after``.  The client table is bounded: far beyond any
-    plausible fleet, the oldest-refilled entries are dropped (a dropped
-    client starts over with a full burst — generous, never wrong).
+    plausible fleet, the oldest-refilled entry is dropped, whether the
+    newcomer was admitted or throttled (a dropped client starts over
+    with a full burst — generous, never wrong).
     """
 
     MAX_CLIENTS = 4096
@@ -141,18 +142,17 @@ class TokenBucket:
     def acquire(self, client: str) -> float:
         now = time.monotonic()
         with self._lock:
-            tokens, last = self._buckets.get(client, (self.burst, now))
+            tokens, last = self._buckets.pop(client, (self.burst, now))
             tokens = min(self.burst, tokens + (now - last) * self.rate)
-            if tokens >= 1.0:
-                self._buckets[client] = (tokens - 1.0, now)
-                return 0.0
+            admitted = tokens >= 1.0
+            if admitted:
+                tokens -= 1.0
+            # Re-inserted at the end, so the dict stays in refill order
+            # and its first key is the oldest-refilled client.
             self._buckets[client] = (tokens, now)
             if len(self._buckets) > self.MAX_CLIENTS:
-                for stale, _ in sorted(
-                    self._buckets.items(), key=lambda item: item[1][1]
-                )[: len(self._buckets) - self.MAX_CLIENTS]:
-                    del self._buckets[stale]
-            return (1.0 - tokens) / self.rate
+                del self._buckets[next(iter(self._buckets))]
+            return 0.0 if admitted else (1.0 - tokens) / self.rate
 
 
 class SynthesisServer:

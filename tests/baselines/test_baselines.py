@@ -9,8 +9,8 @@ from repro.baselines.stg_expansion import (
     stg_expansion_cost,
     stg_expansion_cost_from_stg,
 )
+from repro.api import synthesize
 from repro.bench import benchmark
-from repro.core.seance import synthesize
 from repro.flowtable.stg import Stg
 from repro.hazards.logic_hazards import is_sic_hazard_free
 from repro.logic.expr import expr_truth

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import SynthesisOptions, synthesize
 from repro.bench import PAPER_TABLE1, TABLE1_BENCHMARKS, benchmark
-from repro.core.seance import Seance, SynthesisOptions, synthesize
 from repro.errors import FlowTableError
 from repro.logic.expr import expr_truth
 

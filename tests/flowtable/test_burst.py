@@ -145,7 +145,7 @@ class TestToFlowTable:
 
 class TestEndToEnd:
     def test_synthesise_and_simulate(self):
-        from repro.core.seance import synthesize
+        from repro.api import synthesize
         from repro.netlist.fantom import build_fantom
         from repro.sim.delays import skewed_random
         from repro.sim.harness import validate_against_reference

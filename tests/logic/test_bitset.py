@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.bitset import (
-    Bitset,
     coverage_mask,
     full_mask,
     half_space,
@@ -72,84 +71,17 @@ class TestHalfSpace:
             assert half_space(width, var) == expected
 
 
-class TestBitset:
-    def test_construction_and_membership(self):
-        b = Bitset.from_iterable([1, 4, 4, 9])
-        assert 4 in b
-        assert 2 not in b
-        assert -1 not in b
-        assert len(b) == 3
-        assert list(b) == [1, 4, 9]
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            Bitset(-1)
-
-    def test_immutable(self):
-        b = Bitset(0b101)
-        with pytest.raises(AttributeError):
-            b.bits = 0
-
-    def test_algebra(self):
-        a = Bitset.from_iterable([1, 2, 3])
-        b = Bitset.from_iterable([3, 4])
-        assert a | b == Bitset.from_iterable([1, 2, 3, 4])
-        assert a & b == Bitset.from_iterable([3])
-        assert a - b == Bitset.from_iterable([1, 2])
-        assert a ^ b == Bitset.from_iterable([1, 2, 4])
-
-    def test_subset_ordering(self):
-        small = Bitset.from_iterable([1, 2])
-        big = Bitset.from_iterable([1, 2, 3])
-        assert small <= big
-        assert small < big
-        assert big >= small
-        assert not big <= small
-        assert small <= small
-        assert not small < small
-        assert small.issubset(big)
-        assert big.issuperset(small)
-
-    def test_disjoint_and_intersects(self):
-        a = Bitset.from_iterable([1, 2])
-        assert a.isdisjoint(Bitset.from_iterable([3]))
-        assert a.intersects(Bitset.from_iterable([2, 3]))
-
-    def test_add_discard_return_new(self):
-        a = Bitset.from_iterable([1])
-        b = a.add(2)
-        assert list(a) == [1]
-        assert list(b) == [1, 2]
-        assert list(b.discard(1)) == [2]
-        assert b.discard(-5) == b
-
-    def test_min_max(self):
-        b = Bitset.from_iterable([3, 7, 11])
-        assert b.min() == 3
-        assert b.max() == 11
-        with pytest.raises(ValueError):
-            Bitset().min()
-        with pytest.raises(ValueError):
-            Bitset().max()
-
-    def test_hash_and_bool(self):
-        assert not Bitset()
-        assert Bitset(1)
-        assert hash(Bitset(6)) == hash(Bitset.from_iterable([1, 2]))
-        assert repr(Bitset.from_iterable([2, 0])) == "Bitset({0, 2})"
-
-
 @given(st.sets(st.integers(min_value=0, max_value=120)),
        st.sets(st.integers(min_value=0, max_value=120)))
 @settings(max_examples=150, deadline=None)
 def test_bitset_algebra_matches_set_algebra(xs, ys):
-    bx = Bitset.from_iterable(xs)
-    by = Bitset.from_iterable(ys)
-    assert set(bx | by) == xs | ys
-    assert set(bx & by) == xs & ys
-    assert set(bx - by) == xs - ys
-    assert set(bx ^ by) == xs ^ ys
-    assert (bx <= by) == (xs <= ys)
-    assert bx.isdisjoint(by) == xs.isdisjoint(ys)
-    assert len(bx) == len(xs)
-    assert sorted(xs) == list(bx)
+    bx = mask_of(xs)
+    by = mask_of(ys)
+    assert set(iter_bits(bx | by)) == xs | ys
+    assert set(iter_bits(bx & by)) == xs & ys
+    assert set(iter_bits(bx & ~by)) == xs - ys
+    assert set(iter_bits(bx ^ by)) == xs ^ ys
+    assert is_subset(bx, by) == (xs <= ys)
+    assert (bx & by == 0) == xs.isdisjoint(ys)
+    assert popcount(bx) == len(xs)
+    assert sorted(xs) == list(iter_bits(bx))

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.bench import benchmark
-from repro.core.seance import synthesize
 from repro.errors import NetlistError
 from repro.flowtable.builder import FlowTableBuilder
 from repro.netlist.compose import chain
@@ -38,7 +38,7 @@ class TestConstruction:
         # resting with output 0.  (Minimisation is disabled so the
         # follower keeps its reset state; fully reduced it becomes a
         # single state stable in both columns.)
-        from repro.core.seance import SynthesisOptions
+        from repro.api import SynthesisOptions
 
         b = FlowTableBuilder(inputs=["d"], outputs=["q"])
         b.stable("high", "1", "1").add("high", "0", "low")

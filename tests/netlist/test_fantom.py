@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.bench import benchmark
-from repro.core.seance import synthesize
 from repro.netlist.fantom import build_fantom
 from repro.netlist.gates import GateType
 from repro.netlist.timing import timing_report

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
+from repro.api import synthesize
 from repro.bench import benchmark
-from repro.core.seance import synthesize
 from repro.errors import NetlistError
 from repro.netlist.fantom import build_fantom
 from repro.netlist.gates import GateType

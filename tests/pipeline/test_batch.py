@@ -5,12 +5,7 @@ import pytest
 from repro.bench import benchmark, benchmark_names, synthesize_suite
 from repro.errors import SynthesisError
 from repro.flowtable.table import Entry, FlowTable
-from repro.pipeline import (
-    BatchRunner,
-    StageCache,
-    SynthesisOptions,
-    synthesize_batch,
-)
+from repro.pipeline import BatchRunner, StageCache, SynthesisOptions
 
 NAMES = ("lion", "traffic", "hazard_demo", "test_example")
 
@@ -120,10 +115,6 @@ class TestMatrix:
 
 
 class TestConveniences:
-    def test_synthesize_batch_one_shot(self):
-        items = synthesize_batch([benchmark("lion")])
-        assert len(items) == 1 and items[0].ok
-
     def test_synthesize_suite_defaults_to_every_benchmark(self):
         results = synthesize_suite(cache=StageCache())
         assert tuple(results) == benchmark_names()
@@ -134,7 +125,7 @@ class TestConveniences:
             synthesize_suite(names=("no_such_machine",))
 
     def test_synthesize_suite_matches_direct_synthesis(self):
-        from repro.core.seance import synthesize
+        from repro.api import synthesize
 
         results = synthesize_suite(names=("lion",))
         assert stripped(results["lion"]) == stripped(

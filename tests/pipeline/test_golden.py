@@ -1,10 +1,10 @@
 """Golden regression: the pipeline reproduces the pre-refactor monolith.
 
-``golden_seed.json`` was captured from the seed's monolithic
-``Seance.run`` (one ``to_dict()`` per built-in benchmark, with the
+``golden_seed.json`` was captured from the seed's monolithic synthesis
+driver (one ``to_dict()`` per built-in benchmark, with the
 non-deterministic ``stage_seconds`` dropped) *before* the pass-manager
-refactor.  These tests pin today's pipeline — facade, PassManager,
-cached, and batch paths — to those bytes, so any behavioural drift in
+refactor.  These tests pin today's pipeline — the ``repro.api`` front
+door, PassManager, cached, and batch paths — to those bytes, so any behavioural drift in
 the refactored engine is caught against the original implementation,
 not against itself.
 
@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import synthesize
 from repro.bench import benchmark, benchmark_names
-from repro.core.seance import synthesize
 from repro.pipeline import BatchRunner, PassManager, StageCache
 
 GOLDEN_PATH = Path(__file__).with_name("golden_seed.json")

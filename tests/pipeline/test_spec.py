@@ -19,7 +19,19 @@ from repro.pipeline import (
     registered_passes,
     substitute,
 )
-from repro.pipeline.passes import JointFactorPass
+from repro.pipeline.passes import AllPrimesOutputsPass
+
+#: Pass variants that only re-implemented a SynthesisOptions field
+#: (``minimize``, ``validate_input``, ``hazard_correction``,
+#: ``reduce_mode``), as (stage, variant).  They are gone from the
+#: registry with no alias, so a saved spec naming one must fail loudly.
+RETIRED_VARIANTS = (
+    ("validate", "off"),
+    ("reduce", "off"),
+    ("fsv", "unprotected"),
+    ("factor", "split"),
+    ("factor", "joint"),
+)
 
 
 class TestRegistry:
@@ -29,32 +41,34 @@ class TestRegistry:
             assert key in registered
 
     def test_create_pass_stamps_registry_key(self):
-        p = create_pass("factor:joint")
-        assert isinstance(p, JointFactorPass)
-        assert p.registry_key == "factor:joint"
-        assert p.name == "factor"
+        p = create_pass("outputs:all-primes")
+        assert isinstance(p, AllPrimesOutputsPass)
+        assert p.registry_key == "outputs:all-primes"
+        assert p.name == "outputs"
 
     def test_unknown_key_lists_registered_passes(self):
         with pytest.raises(SynthesisError, match="registered passes"):
             create_pass("no_such_pass")
 
     def test_base_name(self):
-        assert base_name("factor:joint") == "factor"
-        assert base_name("factor") == "factor"
+        assert base_name("hazards:off") == "hazards"
+        assert base_name("hazards") == "hazards"
 
     def test_substitute_replaces_by_base_name(self):
-        swapped = substitute(DEFAULT_PIPELINE, "factor:joint", "hazards:off")
-        assert swapped[-1] == "factor:joint"
+        swapped = substitute(
+            DEFAULT_PIPELINE, "outputs:all-primes", "hazards:off"
+        )
+        assert swapped[3] == "outputs:all-primes"
         assert "hazards:off" in swapped
         assert len(swapped) == len(DEFAULT_PIPELINE)
 
     def test_substitute_unmatched_stage_is_an_error(self):
         with pytest.raises(SynthesisError, match="matches no pipeline"):
-            substitute(("validate", "reduce"), "factor:joint")
+            substitute(("validate", "reduce"), "hazards:off")
 
     def test_reregistration_is_an_error(self):
         with pytest.raises(SynthesisError, match="already registered"):
-            register_pass("factor:joint")(JointFactorPass)
+            register_pass("outputs:all-primes")(AllPrimesOutputsPass)
 
     def test_variants_must_keep_their_base_name(self):
         @register_pass("_bogus_stage:variant")
@@ -97,8 +111,8 @@ class TestPipelineSpec:
             PipelineSpec(passes=())
 
     def test_substitute_builder(self):
-        spec = PipelineSpec().substitute("fsv:unprotected")
-        assert "fsv:unprotected" in spec.passes
+        spec = PipelineSpec().substitute("hazards:off")
+        assert "hazards:off" in spec.passes
         assert PipelineSpec().passes == DEFAULT_PIPELINE  # immutable
 
     def test_with_options_overrides_fields(self):
@@ -130,7 +144,7 @@ class TestPipelineSpec:
         base = PipelineSpec()
         assert base.fingerprint() == PipelineSpec().fingerprint()
         assert (
-            base.substitute("factor:joint").fingerprint()
+            base.substitute("hazards:off").fingerprint()
             != base.fingerprint()
         )
         assert (
@@ -147,10 +161,10 @@ class TestSpecRoundTrip:
     def specs(self):
         return [
             PipelineSpec(),
-            PipelineSpec().substitute("factor:joint", "hazards:off"),
+            PipelineSpec().substitute("outputs:all-primes", "hazards:off"),
             PipelineSpec(
-                passes=("validate:off", "reduce", "assign", "outputs",
-                        "hazards", "fsv:unprotected", "factor:split"),
+                passes=("validate", "reduce", "assign", "outputs:all-primes",
+                        "hazards:off", "fsv", "factor", "verify"),
                 options=SynthesisOptions(
                     minimize=False, reduce_mode="joint",
                     output_policy="as_specified",
@@ -177,7 +191,7 @@ class TestSpecRoundTrip:
             assert PipelineSpec.from_json(spec.to_json()) == spec
 
     def test_save_load(self, tmp_path):
-        spec = PipelineSpec().substitute("factor:joint")
+        spec = PipelineSpec().substitute("hazards:off")
         path = tmp_path / "spec.json"
         spec.save(path)
         assert PipelineSpec.load(path) == spec
@@ -198,6 +212,15 @@ class TestSpecRoundTrip:
         payload = PipelineSpec().to_dict()
         payload["cache"]["surprise"] = 1
         with pytest.raises(SynthesisError, match="unknown cache spec"):
+            PipelineSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("stage,variant", RETIRED_VARIANTS)
+    def test_saved_spec_naming_a_retired_variant_is_rejected(
+        self, stage, variant
+    ):
+        payload = PipelineSpec().to_dict()
+        payload["passes"][DEFAULT_PIPELINE.index(stage)] = f"{stage}:{variant}"
+        with pytest.raises(SynthesisError, match="registered passes"):
             PipelineSpec.from_dict(payload)
 
     def test_future_format_is_rejected(self):

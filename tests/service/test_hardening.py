@@ -47,6 +47,22 @@ class TestTokenBucket:
         time.sleep(0.05)
         assert bucket.acquire("a") == 0.0
 
+    def test_client_table_is_bounded_when_every_client_is_admitted(self):
+        bucket = TokenBucket(rate=1.0, burst=1.0)
+        for n in range(3 * TokenBucket.MAX_CLIENTS):
+            assert bucket.acquire(f"client-{n}") == 0.0
+        assert len(bucket._buckets) <= TokenBucket.MAX_CLIENTS
+
+    def test_eviction_drops_the_oldest_refilled_client(self):
+        bucket = TokenBucket(rate=1.0, burst=1.0)
+        for n in range(TokenBucket.MAX_CLIENTS):
+            bucket.acquire(f"client-{n}")
+        bucket.acquire("client-0")  # refilled last: now the newest
+        bucket.acquire("newcomer")
+        assert "client-0" in bucket._buckets
+        assert "client-1" not in bucket._buckets
+        assert len(bucket._buckets) == TokenBucket.MAX_CLIENTS
+
 
 class TestAuth:
     def test_missing_token_rejected_without_work(self, tmp_path):

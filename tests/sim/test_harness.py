@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import SynthesisOptions, synthesize
 from repro.bench import benchmark
-from repro.core.seance import SynthesisOptions, synthesize
 from repro.errors import SimulationError
 from repro.flowtable.builder import FlowTableBuilder
 from repro.netlist.fantom import build_fantom

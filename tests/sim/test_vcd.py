@@ -114,7 +114,7 @@ class TestGolden:
 class TestEndToEnd:
     def test_machine_waveform_exports(self, tmp_path):
         from repro.bench import benchmark
-        from repro.core.seance import synthesize
+        from repro.api import synthesize
         from repro.netlist.fantom import build_fantom
         from repro.sim.delays import loop_safe_random
         from repro.sim.harness import FantomHarness

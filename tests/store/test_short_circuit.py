@@ -79,8 +79,8 @@ class TestSessionShortCircuit:
         store = ResultStore()
         session = api.load("lion", store=store)
         session.run()
-        ablated, report = session.with_pass(
-            "fsv:unprotected"
+        ablated, report = session.with_options(
+            hazard_correction=False
         ).run_with_report()
         # Different spec fingerprint: a genuine run, not a stale hit.
         assert not report.store_hit

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.pipeline.test_spec import RETIRED_VARIANTS
 
 
 class TestSynth:
@@ -140,11 +141,11 @@ class TestSpecWorkflow:
 
         assert main([
             "synth", "lion", "--emit-spec", "--no-minimize",
-            "--pass", "factor:joint",
+            "--pass", "hazards:off",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["options"]["minimize"] is False
-        assert payload["passes"][-1] == "factor:joint"
+        assert payload["passes"][4] == "hazards:off"
 
     def test_spec_file_reproduces_an_ablation_run(self, tmp_path, capsys):
         """The acceptance criterion: an ablation run is reproducible
@@ -152,8 +153,7 @@ class TestSpecWorkflow:
         import json
 
         assert main([
-            "synth", "hazard_demo", "--emit-spec",
-            "--pass", "fsv:unprotected",
+            "synth", "hazard_demo", "--emit-spec", "--no-fsv",
         ]) == 0
         spec_path = tmp_path / "unprotected.json"
         spec_path.write_text(capsys.readouterr().out)
@@ -163,7 +163,7 @@ class TestSpecWorkflow:
         ]) == 0
         from_spec = json.loads(capsys.readouterr().out)
         assert main([
-            "synth", "hazard_demo", "--pass", "fsv:unprotected", "--json",
+            "synth", "hazard_demo", "--no-fsv", "--json",
         ]) == 0
         from_flags = json.loads(capsys.readouterr().out)
         from_spec.pop("stage_seconds")
@@ -176,6 +176,25 @@ class TestSpecWorkflow:
         assert main(["synth", "lion", "--pass", "factor:typo"]) == 2
         assert "registered passes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage,variant", RETIRED_VARIANTS)
+    def test_spec_naming_a_retired_variant_is_a_cli_error(
+        self, tmp_path, capsys, stage, variant
+    ):
+        """Variants that only re-implemented an option are gone from
+        the registry with no alias: a saved spec naming one fails."""
+        import json
+
+        assert main(["synth", "lion", "--emit-spec"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["passes"] = [
+            f"{stage}:{variant}" if key == stage else key
+            for key in payload["passes"]
+        ]
+        spec_path = tmp_path / "retired.json"
+        spec_path.write_text(json.dumps(payload))
+        assert main(["synth", "lion", "--spec", str(spec_path)]) == 2
+        assert "registered passes" in capsys.readouterr().err
+
     def test_unreadable_spec_is_a_cli_error(self, capsys):
         assert main(["synth", "lion", "--spec", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -183,8 +202,8 @@ class TestSpecWorkflow:
     def test_passes_subcommand_lists_registry(self, capsys):
         assert main(["passes"]) == 0
         out = capsys.readouterr().out
-        assert "factor:joint" in out
-        assert "fsv:unprotected" in out
+        assert "hazards:off" in out
+        assert "outputs:all-primes" in out
 
     def test_batch_json_emits_per_pass_telemetry(self, capsys):
         import json
@@ -211,7 +230,7 @@ class TestSpecWorkflow:
         assert all(e["cached"] for e in payload[0]["passes"])
 
     def test_batch_with_substitution(self, capsys):
-        assert main(["batch", "lion", "--pass", "factor:joint"]) == 0
+        assert main(["batch", "lion", "--pass", "hazards:off"]) == 0
         assert "lion" in capsys.readouterr().out
 
     def test_synth_json_round_trips(self, capsys):

@@ -40,19 +40,14 @@ API_ALL_SNAPSHOT = [
 #: files are written in.  Removing or renaming a key breaks saved specs.
 REGISTRY_SNAPSHOT = {
     "validate": "validate",
-    "validate:off": "validate",
     "reduce": "reduce",
-    "reduce:off": "reduce",
     "assign": "assign",
     "outputs": "outputs",
     "outputs:all-primes": "outputs",
     "hazards": "hazards",
     "hazards:off": "hazards",
     "fsv": "fsv",
-    "fsv:unprotected": "fsv",
     "factor": "factor",
-    "factor:split": "factor",
-    "factor:joint": "factor",
     "verify": "verify",
 }
 
@@ -86,11 +81,11 @@ class TestApiSnapshot:
         result = (
             api.load("lion")
             .with_options(minimize=False)
-            .with_pass("factor:joint")
+            .with_options(reduce_mode="joint")
             .run()
         )
         assert result.table1_row()[0] == "lion"
-        spec = api.PipelineSpec().substitute("factor:joint")
+        spec = api.PipelineSpec().substitute("hazards:off")
         assert api.PipelineSpec.from_dict(spec.to_dict()) == spec
 
 

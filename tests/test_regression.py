@@ -11,8 +11,8 @@ appear in EXPERIMENTS.md); update them only together with that file.
 
 import pytest
 
+from repro.api import synthesize
 from repro.bench import benchmark
-from repro.core.seance import synthesize
 
 #: name -> (fsv depth, Y depth, total depth, |FL|, states after Step 2,
 #: state variables)
