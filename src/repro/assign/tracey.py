@@ -19,7 +19,10 @@ The algorithm, following Tracey (1966) as the paper cites:
 3. **Covering.**  A minimum family of merged dichotomies covering every
    seed gives the fewest state variables — the paper's "general algorithm
    that will generate the smallest number of state variables".  The cover
-   is solved exactly at paper scale (:mod:`repro.util.setcover`).
+   is solved by :func:`~repro.util.setcover.minimum_set_cover`, the
+   zero-weight front end of the unate covering core the prime covers
+   also use: exactly at paper scale, greedily (``exact=False``) when the
+   cyclic core outgrows :data:`~repro.util.setcover.EXACT_LIMIT`.
 
 4. **Code construction.**  Chosen dichotomy ``i`` becomes variable
    ``y{i+1}``: 0 on its left block, 1 on its right block.  States in

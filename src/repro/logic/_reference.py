@@ -5,7 +5,11 @@ packed-bitset engine (:mod:`repro.logic.bitset` and the rewritten
 :mod:`~repro.logic.quine_mccluskey` / :mod:`~repro.logic.cover` /
 :mod:`repro.util.setcover`) replaced on the hot paths.  They build one
 :class:`~repro.logic.cube.Cube` per care minterm and manipulate explicit
-``set`` objects — slow, but small and obviously correct.
+``set`` objects — slow, but small and obviously correct.  The prime cover
+and the set cover keep their own essential loops, greedy heuristics,
+searches and (for the set cover) the all-pairs dominance scan, where the
+fast engine runs both on one covering core; agreement between the two is
+what the equivalence suite checks.
 
 The Hypothesis equivalence suite
 (``tests/logic/test_bitset_equivalence.py``) asserts that both engines

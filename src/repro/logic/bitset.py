@@ -12,8 +12,12 @@ limit into a usable one (see ``benchmarks/bench_logic.py``).
 
 The module-level helpers (:func:`mask_of`, :func:`iter_bits`,
 :func:`coverage_mask`, ...) operate on *raw ints*; they are what the hot
-paths in :mod:`~repro.logic.quine_mccluskey`, :mod:`~repro.logic.cover`
-and :mod:`repro.util.setcover` use.
+paths in :mod:`~repro.logic.quine_mccluskey` and the covering core
+(:mod:`repro.util.setcover`, behind :mod:`~repro.logic.cover`) use.  The
+covering core reaches masks only through :func:`members_of`,
+:func:`contains_member`, :func:`andnot`, ``&``, ``|`` and
+``bit_count``, so it runs unchanged on raw ints and on
+:class:`ChunkedMask`.
 
 The key primitive is :func:`coverage_mask`: the bitset of every minterm a
 cube ``(mask, value)`` covers, built by subset-doubling in O(width)

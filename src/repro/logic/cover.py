@@ -11,14 +11,14 @@ the total literal count — the classic two-level cost used by
 Quine-McCluskey treatments (Mano; Kohavi), which is also what the paper's
 "depth" metric ultimately depends on.
 
-Engine notes: every candidate's coverage is one packed bitset int
-(:meth:`Cube.coverage_mask`), the uncovered on-set is one int, so
-"covers something new" is ``coverage & remaining``, essential detection
-is a covered-once/covered-twice carry cascade, and the branch-and-bound
-memoises on the remaining-universe bitset (a pruned state can never
-improve the incumbent again — see the Pareto-prefix check in
-:func:`_branch_and_bound`).  The original set-based selection survives in
-:mod:`repro.logic._reference` for the equivalence suite.
+Engine notes: every candidate's coverage is one packed bitset
+(:meth:`Cube.coverage_mask`, or :meth:`Cube.chunked_coverage` above
+:data:`~repro.logic.bitset.DENSE_WIDTH_LIMIT`), and the selection itself
+is the unate covering core of :mod:`repro.util.setcover` with each
+prime's literal count as its weight.  This module adds what is specific
+to primes: the off-set check on the candidates and the final
+single-cube-containment pass.  The original set-based selection survives
+in :mod:`repro.logic._reference` for the equivalence suite.
 """
 
 from __future__ import annotations
@@ -27,13 +27,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ..errors import CoveringError
-from .bitset import (
-    ChunkedMask,
-    andnot,
-    contains_member,
-    mask_of,
-    members_of,
-)
+from ..util.setcover import branch_and_bound, essentials, greedy
+from .bitset import ChunkedMask, andnot, mask_of
 from .cube import Cube, remove_contained
 from .function import BooleanFunction
 from .quine_mccluskey import primes_of, useful_primes
@@ -76,27 +71,6 @@ class CoverResult:
         return sum(cube.num_literals for cube in self.cubes)
 
 
-def _covered_once_mask(coverage: Sequence):
-    """Bitset of the minterms covered by exactly one coverage mask."""
-    once = 0
-    more = 0
-    for cov in coverage:
-        more |= once & cov
-        once |= cov
-    return andnot(once, more)
-
-
-def _unique_coverer(coverage: Sequence, unique_mask) -> dict[int, int]:
-    """Map each uniquely covered minterm to the index of its sole coverer."""
-    coverer: dict[int, int] = {}
-    for i, cov in enumerate(coverage):
-        hits = cov & unique_mask
-        if hits:
-            for m in members_of(hits):
-                coverer[m] = i
-    return coverer
-
-
 def _coverages(primes: Sequence[Cube], mask) -> list:
     """Per-prime coverage masks in the representation ``mask`` uses."""
     if isinstance(mask, ChunkedMask):
@@ -114,22 +88,11 @@ def essential_primes(
         on_mask = mask_of(on)
     primes = list(primes)
     coverage = _coverages(primes, on_mask)
-    unique = _covered_once_mask(coverage) & on_mask
-    coverer = _unique_coverer(coverage, unique)
-    essential: list[Cube] = []
-    seen: set[int] = set()
-    for m in members_of(unique):
-        i = coverer[m]
-        if i not in seen:
-            seen.add(i)
-            essential.append(primes[i])
-    return essential
+    return [primes[i] for i in essentials(coverage, on_mask)]
 
 
 def minimal_cover(
-    function: BooleanFunction,
-    primes: Sequence[Cube] | None = None,
-    exact: bool | None = None,
+    function: BooleanFunction, primes: Sequence[Cube] | None = None
 ) -> CoverResult:
     """Select a minimum (or near-minimum) prime cover of ``function``.
 
@@ -140,9 +103,9 @@ def minimal_cover(
     primes:
         Candidate implicants; defaults to all primes of ``function``.
         Every candidate must be an implicant of the function.
-    exact:
-        Force (True) or forbid (False) the exact branch-and-bound.  The
-        default picks exact when the cyclic core is small enough.
+
+    The cyclic core left after the essential primes is searched exactly
+    up to :data:`EXACT_SEARCH_LIMIT` candidates and greedily above it.
 
     Raises
     ------
@@ -181,184 +144,39 @@ def minimal_cover(
     if not remaining:
         return CoverResult((), (), True)
 
-    # Uniqueness of coverage is a property of the (static) candidate list,
-    # so the covered-exactly-once mask and the sole-coverer map are
-    # computed one time; each essential round just intersects with the
-    # shrinking remaining-minterm bitset.
-    unique = _covered_once_mask(coverage) & remaining
-    coverer = _unique_coverer(coverage, unique)
-
-    chosen_idx: list[int] = []
-    chosen_set: set[int] = set()
-    essential_idx: list[int] = []
-    # Iterated essential extraction: picking an essential prime can make
-    # further primes essential for the still-uncovered minterms.
-    while True:
-        found: list[int] = []
-        found_set: set[int] = set()
-        for m in members_of(unique & remaining):
-            i = coverer[m]
-            if i not in found_set:
-                found_set.add(i)
-                found.append(i)
-        new_essentials = [i for i in found if i not in chosen_set]
-        if not new_essentials:
-            break
-        for i in new_essentials:
-            chosen_idx.append(i)
-            chosen_set.add(i)
-            if i not in essential_idx:
-                essential_idx.append(i)
-            remaining = andnot(remaining, coverage[i])
-        if not remaining:
-            break
-
-    exact_flag = True
+    essential_idx = essentials(coverage, remaining)
+    for i in essential_idx:
+        remaining = andnot(remaining, coverage[i])
+    chosen_idx = list(essential_idx)
+    exact = True
     if remaining:
-        candidates = [
+        taken = set(essential_idx)
+        live = [
             i
-            for i in range(len(primes))
-            if i not in chosen_set and coverage[i] & remaining
+            for i, cov in enumerate(coverage)
+            if i not in taken and cov & remaining
         ]
+        cover_map = {i: coverage[i] & remaining for i in live}
         union = 0
-        for i in candidates:
-            union |= coverage[i]
+        for i in live:
+            union |= cover_map[i]
         uncoverable = andnot(remaining, union)
         if uncoverable:
             raise CoveringError(
                 f"{uncoverable.bit_count()} on-set minterms cannot "
                 f"be covered by the supplied candidate implicants"
             )
-        use_exact = (
-            exact
-            if exact is not None
-            else len(candidates) <= EXACT_SEARCH_LIMIT
-        )
-        if use_exact:
-            extra = _branch_and_bound(primes, coverage, candidates, remaining)
+        literals = {i: primes[i].num_literals for i in live}
+        if len(live) <= EXACT_SEARCH_LIMIT:
+            extra = branch_and_bound(cover_map, literals, live, remaining)
         else:
-            extra = _greedy(primes, coverage, candidates, remaining)
-            exact_flag = False
+            extra = greedy(cover_map, literals, live, remaining)
+            exact = False
         chosen_idx.extend(extra)
 
     chosen = remove_contained([primes[i] for i in chosen_idx])
     essential = [primes[i] for i in essential_idx]
-    return CoverResult(
-        tuple(sorted(chosen)), tuple(sorted(essential)), exact_flag
-    )
-
-
-def any_cover_possible(
-    candidates: Sequence[Cube], minterms: Iterable[int] | int | ChunkedMask
-) -> bool:
-    """True when the union of the candidates contains every minterm."""
-    if isinstance(minterms, ChunkedMask):
-        union = ChunkedMask.empty(minterms.chunk_bits)
-        for cube in candidates:
-            union = union | cube.chunked_coverage(minterms.chunk_bits)
-        return minterms.is_subset(union)
-    wanted = minterms if isinstance(minterms, int) else mask_of(minterms)
-    union = 0
-    for cube in candidates:
-        union |= cube.coverage_mask()
-    return wanted & ~union == 0
-
-
-def _greedy(
-    primes: Sequence[Cube],
-    coverage: Sequence,
-    candidates: list[int],
-    remaining,
-) -> list[int]:
-    """Greedy set cover: repeatedly take the cube covering the most."""
-    chosen: list[int] = []
-    while remaining:
-        best = max(
-            candidates,
-            key=lambda i: (
-                (coverage[i] & remaining).bit_count(),
-                -primes[i].num_literals,
-            ),
-        )
-        gain = coverage[best] & remaining
-        if not gain:
-            raise CoveringError("greedy cover stalled (internal error)")
-        chosen.append(best)
-        remaining = andnot(remaining, gain)
-    return chosen
-
-
-def _branch_and_bound(
-    primes: Sequence[Cube],
-    coverage: Sequence,
-    candidates: list[int],
-    remaining,
-) -> list[int]:
-    """Exact minimum completion of the cover (terms, then literals).
-
-    Depth-first branch-and-bound on the uncovered minterm with the fewest
-    covering candidates (most-constrained-first, ties to the smallest
-    minterm), bounded by the best solution found so far and memoised on
-    the remaining-universe bitset: once a state has been explored with a
-    componentwise no-worse (terms, literals) prefix, revisiting it cannot
-    produce a strictly better incumbent, so the revisit is pruned without
-    changing which cover is returned.
-    """
-    cover_map = {i: coverage[i] & remaining for i in candidates}
-    literals = {i: primes[i].num_literals for i in candidates}
-    # Seed the bound with the greedy solution so pruning starts effective.
-    best: list[int] = _greedy(primes, coverage, candidates, remaining)
-    best_cost = _cost(best, literals)
-
-    # Static most-constrained order: how many candidates cover each
-    # minterm never changes during the search.
-    counts: dict[int, int] = {}
-    for i in candidates:
-        for m in members_of(cover_map[i]):
-            counts[m] = counts.get(m, 0) + 1
-    order = sorted(counts, key=lambda m: (counts[m], m))
-
-    # Pareto prefixes per remaining-universe bitset (see docstring).
-    explored: dict = {}
-
-    def search(uncovered, chosen: list[int], chosen_lits: int) -> None:
-        nonlocal best, best_cost
-        if not uncovered:
-            cost = (len(chosen), chosen_lits)
-            if cost < best_cost:
-                best = list(chosen)
-                best_cost = cost
-            return
-        if len(chosen) + 1 > best_cost[0]:
-            return
-        prefixes = explored.setdefault(uncovered, [])
-        for terms, lits in prefixes:
-            if terms <= len(chosen) and lits <= chosen_lits:
-                return
-        prefixes.append((len(chosen), chosen_lits))
-        target = next(m for m in order if contains_member(uncovered, m))
-        options = [
-            i for i in candidates if contains_member(cover_map[i], target)
-        ]
-        # Try larger cubes first: covers more, fewer literals.
-        options.sort(
-            key=lambda i: (cover_map[i] & uncovered).bit_count(), reverse=True
-        )
-        for option in options:
-            if option in chosen:
-                continue
-            chosen.append(option)
-            lits = chosen_lits + literals[option]
-            if (len(chosen), lits) <= best_cost:
-                search(andnot(uncovered, cover_map[option]), chosen, lits)
-            chosen.pop()
-
-    search(remaining, [], 0)
-    return best
-
-
-def _cost(chosen: Sequence[int], literals: dict[int, int]) -> tuple[int, int]:
-    return (len(chosen), sum(literals[i] for i in chosen))
+    return CoverResult(tuple(sorted(chosen)), tuple(sorted(essential)), exact)
 
 
 def essential_sop(function: BooleanFunction) -> CoverResult:

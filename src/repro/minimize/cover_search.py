@@ -74,7 +74,6 @@ def covers_all_states(
 def find_minimum_closed_cover(
     table: FlowTable,
     compatibility: CompatibilityResult | None = None,
-    exact: bool | None = None,
 ) -> ClosedCover:
     """Find a minimum (or small) closed cover of the table's states.
 
@@ -99,8 +98,7 @@ def find_minimum_closed_cover(
     except SynthesisError:
         return ClosedCover(tuple(_canonical(upper_family)), exact=False)
 
-    use_exact = exact if exact is not None else len(candidates) <= 4000
-    if not use_exact:
+    if len(candidates) > 4000:
         return ClosedCover(tuple(_canonical(upper_family)), exact=False)
 
     best = list(upper_family)

@@ -16,13 +16,18 @@ new blob, never a torn one.  :class:`DirectoryBackend` implements this
 with the same tmp-file + ``rename`` idiom the stage cache uses, which
 also makes concurrent writers of one name safe on POSIX filesystems:
 the last rename wins with a complete file (and, because blob names are
-content hashes, every racer is writing identical bytes anyway).
+content hashes, every racer is writing identical bytes anyway).  Every
+write stages its bytes in a temp file of its own, so two threads of one
+process never share one.  The conditional put publishes its complete
+temp file with ``link``, which fails when the name exists: a peer polling
+a lease sees nothing or the whole blob, never an empty one.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import uuid
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,7 +143,7 @@ class DirectoryBackend(StoreBackend):
     Blob names may contain ``/`` (the store uses ``kind/digest.json``),
     which maps to subdirectories; everything else must be a safe path
     component.  Reads treat any OS error as absence; writes go through a
-    per-process tmp file and an atomic rename.
+    temp file of their own and an atomic rename (or ``link``).
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -161,20 +166,31 @@ class DirectoryBackend(StoreBackend):
         except OSError:
             return None
 
+    def _stage(self, target: Path, data: bytes) -> Path:
+        """Write ``data`` to a fresh temp file beside ``target``."""
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp = target.with_name(f"{target.name}.tmp.{uuid.uuid4().hex}")
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+        except OSError:
+            _unlink_quietly(tmp)
+            raise
+        return tmp
+
     def write(self, name: str, data: bytes) -> None:
         target = self._blob_path(name)
-        tmp = target.with_suffix(f".tmp.{os.getpid()}")
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-            tmp.replace(target)
+            tmp = self._stage(target, data)
         except OSError:
             # Unwritable store: degrade to recompute-next-time rather
             # than failing the run that produced the result.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+            return
+        try:
+            os.replace(tmp, target)
+        except OSError:
+            _unlink_quietly(tmp)
 
     def names(self, prefix: str = "") -> Iterator[str]:
         if not self._root.is_dir():
@@ -188,26 +204,20 @@ class DirectoryBackend(StoreBackend):
                     yield name
 
     def write_if_absent(self, name: str, data: bytes) -> bool:
-        """Atomic on POSIX: ``O_CREAT | O_EXCL`` either creates the blob
+        """Atomic on POSIX: ``link`` publishes the complete temp file
         or fails because someone else already did."""
         target = self._blob_path(name)
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(target, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
+            tmp = self._stage(target, data)
         except OSError:
             return False
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+            os.link(tmp, target)
             return True
         except OSError:
-            try:
-                target.unlink(missing_ok=True)
-            except OSError:
-                pass
             return False
+        finally:
+            _unlink_quietly(tmp)
 
     def delete(self, name: str) -> bool:
         try:
@@ -225,6 +235,13 @@ class DirectoryBackend(StoreBackend):
 
     def describe(self) -> str:
         return f"DirectoryBackend({str(self._root)!r})"
+
+
+def _unlink_quietly(path: Path) -> None:
+    try:
+        path.unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 def resolve_backend(location, policy=None) -> StoreBackend:

@@ -1,43 +1,42 @@
-"""Generic minimum set cover with exact branch-and-bound, on packed bitsets.
+"""The unate covering core, and the generic minimum set cover on top of it.
 
-Several SEANCE stages reduce to set covering — choosing prime implicants,
-choosing merged dichotomies for the Tracey state assignment — over
-universes of at most a few dozen elements.  This module provides one
-careful implementation: iterated essential extraction, dominated-candidate
-elimination, exact branch-and-bound on the cyclic core, and a greedy
-fallback above a size threshold.
+SEANCE solves two unate covering problems of the same shape: the
+minimum prime cover behind every "essential SOP" equation
+(:mod:`repro.logic.cover`) and the dichotomy cover of the Tracey state
+assignment (:mod:`repro.assign.tracey`).  They differ only in cost:
+the prime cover minimises (terms, literals), the set cover minimises
+terms alone.  Both front ends therefore share three primitives over
+*coverage masks* — one packed bitset per candidate, either a raw int or
+a :class:`~repro.logic.bitset.ChunkedMask`:
 
-Internally every element is numbered (in ``repr``-sorted order, which is
-also the deterministic scan order of the original set-based solver, kept
-in :mod:`repro.logic._reference`), each candidate becomes one incidence
-bitset int, and the element-to-covering-candidates map is built in a
-single pass up front.  Dominance is the subset test ``a | b == b``,
-essential extraction walks a precomputed covered-exactly-once list, and
-the branch-and-bound memoises on the remaining-universe bitset.
+* :func:`essentials` — the sole coverers of the elements covered
+  exactly once.  Coverage counts are a property of the static candidate
+  list, so one pass finds every essential candidate;
+* :func:`greedy` — repeatedly take the candidate with the largest gain,
+  then the smallest weight, ties to the lowest index;
+* :func:`branch_and_bound` — the exact minimum-(count, weight) cover,
+  seeded with the greedy cover.
+
+:func:`minimum_set_cover` is the zero-weight front end over frozensets:
+elements are numbered in ``repr``-sorted order (the scan order of the
+original set-based solver, kept in :mod:`repro.logic._reference`),
+dominated candidates are dropped by :func:`_undominated_indexed`, and
+the cyclic core is searched exactly up to :data:`EXACT_LIMIT`
+candidates and greedily above it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 
 from ..errors import CoveringError
-from ..logic.bitset import iter_bits
+from ..logic.bitset import andnot, contains_member, iter_bits, members_of
 
 #: Above this many candidates in the cyclic core the solver goes greedy.
 #: The bitset rewrite (O(words) dominance/coverage ops plus a memoised
 #: search) raised this from the original 30.
 EXACT_LIMIT = 48
-
-#: Above this many live candidates the dominated-candidate elimination
-#: switches from the direct all-pairs subset scan to the indexed
-#: :func:`_undominated_indexed` (same survivors, built on a
-#: rarest-element / popcount-ordered superset index).  Tracey covering
-#: problems can reach tens of thousands of merged dichotomies, where the
-#: quadratic scan used to dominate the whole synthesis run — and was
-#: simply skipped, leaving the greedy fallback to wade through every
-#: dominated candidate on each selection round.
-DOMINANCE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,109 @@ class SetCoverResult:
     exact: bool
 
 
+def essentials(coverage: Sequence, remaining) -> list[int]:
+    """Indices of the sole coverers of ``remaining``'s once-covered elements.
+
+    Ordered by the smallest such element each one covers.
+    """
+    once = 0
+    more = 0
+    for cov in coverage:
+        more |= once & cov
+        once |= cov
+    unique = andnot(once, more) & remaining
+    firsts = []
+    for i, cov in enumerate(coverage):
+        hits = cov & unique
+        if hits:
+            firsts.append((next(members_of(hits)), i))
+    return [i for _, i in sorted(firsts)]
+
+
+def greedy(
+    cover_map: Mapping, weights: Mapping, live: Sequence[int], remaining
+) -> list[int]:
+    """Greedy cover: the largest gain, then the smallest weight, first.
+
+    ``live`` must ascend, so ties go to the lowest index.
+    """
+    chosen: list[int] = []
+    while remaining:
+        best = max(
+            live,
+            key=lambda i: (
+                (cover_map[i] & remaining).bit_count(),
+                -weights[i],
+            ),
+        )
+        gain = cover_map[best] & remaining
+        if not gain:
+            raise CoveringError("greedy cover stalled (internal error)")
+        chosen.append(best)
+        remaining = andnot(remaining, gain)
+    return chosen
+
+
+def branch_and_bound(
+    cover_map: Mapping, weights: Mapping, live: Sequence[int], remaining
+) -> list[int]:
+    """Exact minimum cover of ``remaining`` by cost (count, total weight).
+
+    Depth-first search on the uncovered element with the fewest covering
+    candidates (ties to the smallest element), trying the options with
+    the largest gain first (ties to the lowest index, so ``live`` must
+    ascend).  A node is pruned when even one more candidate cannot beat
+    the incumbent, and memoised on its uncovered bitset: once a state has
+    been explored with a componentwise no-worse (count, weight) prefix,
+    revisiting it cannot produce a strictly better incumbent, so the
+    revisit is pruned without changing which cover is returned.
+    """
+    best = greedy(cover_map, weights, live, remaining)
+    best_cost = (len(best), sum(weights[i] for i in best))
+
+    # Static most-constrained order: how many candidates cover each
+    # element never changes during the search.
+    counts: dict[int, int] = {}
+    for i in live:
+        for m in members_of(cover_map[i]):
+            counts[m] = counts.get(m, 0) + 1
+    order = sorted(counts, key=lambda m: (counts[m], m))
+
+    explored: dict = {}
+    chosen: list[int] = []
+
+    def search(uncovered, weight: int) -> None:
+        nonlocal best, best_cost
+        if not uncovered:
+            if (len(chosen), weight) < best_cost:
+                best = list(chosen)
+                best_cost = (len(chosen), weight)
+            return
+        if (len(chosen) + 1, weight) >= best_cost:
+            return
+        prefixes = explored.setdefault(uncovered, [])
+        for terms, lighter in prefixes:
+            if terms <= len(chosen) and lighter <= weight:
+                return
+        prefixes.append((len(chosen), weight))
+        target = next(m for m in order if contains_member(uncovered, m))
+        options = [i for i in live if contains_member(cover_map[i], target)]
+        options.sort(
+            key=lambda i: (cover_map[i] & uncovered).bit_count(), reverse=True
+        )
+        for option in options:
+            chosen.append(option)
+            search(
+                andnot(uncovered, cover_map[option]), weight + weights[option]
+            )
+            chosen.pop()
+
+    search(remaining, 0)
+    return best
+
+
 def minimum_set_cover(
-    universe: set[Hashable],
-    candidates: Sequence[frozenset],
-    exact: bool | None = None,
+    universe: set[Hashable], candidates: Sequence[frozenset]
 ) -> SetCoverResult:
     """Select a minimum family of candidates whose union covers ``universe``.
 
@@ -66,8 +164,7 @@ def minimum_set_cover(
     # bit k of every incidence bitset below.
     order = sorted(universe, key=repr)
     index = {element: k for k, element in enumerate(order)}
-    n = len(order)
-    full = (1 << n) - 1
+    full = (1 << len(order)) - 1
 
     masks: list[int] = []
     for candidate in candidates:
@@ -87,78 +184,33 @@ def minimum_set_cover(
         )
         raise CoveringError(f"elements cannot be covered: {missing}")
 
-    # Element -> covering-candidates incidence, computed once up front:
-    # per element a count and (for the uniquely covered) the sole coverer.
-    covering_count = [0] * n
-    sole_coverer = [-1] * n
-    for i, bits in enumerate(masks):
-        for k in iter_bits(bits):
-            covering_count[k] += 1
-            sole_coverer[k] = i
-    forced_order = [k for k in range(n) if covering_count[k] == 1]
-
+    chosen = essentials(masks, full)
     remaining = full
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-
-    # Iterated essential extraction: an element covered by exactly one
-    # candidate forces that candidate.  Coverage counts are static, so the
-    # scan resumes where it left off instead of rescanning every
-    # candidate for every element each round.
-    cursor = 0
-    while remaining:
-        forced = None
-        while cursor < len(forced_order):
-            k = forced_order[cursor]
-            if remaining >> k & 1:
-                forced = sole_coverer[k]
-                break
-            cursor += 1
-        if forced is None:
-            break
-        if forced not in chosen_set:
-            chosen.append(forced)
-            chosen_set.add(forced)
-        remaining &= ~masks[forced]
-
+    for i in chosen:
+        remaining &= ~masks[i]
     if not remaining:
         return SetCoverResult(tuple(sorted(chosen)), True)
 
+    taken = set(chosen)
     live = [
         i
-        for i in range(len(candidates))
-        if i not in chosen_set and masks[i] & remaining
+        for i, bits in enumerate(masks)
+        if i not in taken and bits & remaining
     ]
-    # Dominance: drop candidates whose useful contribution is a subset of
-    # another's (ties keep the lower index).
     useful = {i: masks[i] & remaining for i in live}
-    if len(live) <= DOMINANCE_LIMIT:
-        undominated = []
-        for i in live:
-            ui = useful[i]
-            dominated = any(
-                ui | useful[j] == useful[j] and (ui != useful[j] or j < i)
-                for j in live
-                if j != i
-            )
-            if not dominated:
-                undominated.append(i)
-        live = undominated
-    else:
-        live = _undominated_indexed(live, useful)
-
-    use_exact = exact if exact is not None else len(live) <= EXACT_LIMIT
-    if use_exact:
-        extra = _branch_and_bound(remaining, live, useful)
+    live = _undominated_indexed(live, useful)
+    weights = dict.fromkeys(live, 0)
+    if len(live) <= EXACT_LIMIT:
+        extra = branch_and_bound(useful, weights, live, remaining)
         return SetCoverResult(tuple(sorted(chosen + extra)), True)
-    extra = _greedy(remaining, live, useful)
+    extra = greedy(useful, weights, live, remaining)
     return SetCoverResult(tuple(sorted(chosen + extra)), False)
 
 
 def _undominated_indexed(
     live: list[int], useful: dict[int, int]
 ) -> list[int]:
-    """Dominance elimination on a popcount-bucketed subset index.
+    """Drop every candidate whose useful mask another one dominates.
 
     Computes exactly the survivors of the all-pairs predicate
     ``ui | uj == uj and (ui != uj or j < i)`` without the quadratic
@@ -241,65 +293,3 @@ def _undominated_indexed(
         for i in live
         if first[useful[i]] == i and useful[i] not in dominated
     ]
-
-
-def _greedy(
-    remaining: int, live: list[int], useful: dict[int, int]
-) -> list[int]:
-    chosen = []
-    while remaining:
-        best = max(
-            live, key=lambda i: ((useful[i] & remaining).bit_count(), -i)
-        )
-        gain = useful[best] & remaining
-        if not gain:
-            raise CoveringError("greedy set cover stalled (internal error)")
-        chosen.append(best)
-        remaining &= ~gain
-    return chosen
-
-
-def _branch_and_bound(
-    remaining: int, live: list[int], useful: dict[int, int]
-) -> list[int]:
-    best = _greedy(remaining, live, useful)
-
-    # Static most-constrained order: the number of live candidates
-    # covering an element never changes during the search, and the
-    # repr-order element numbering makes the (count, repr) tie-break of
-    # the original solver equal to (count, bit index).
-    counts: dict[int, int] = {}
-    for i in live:
-        for k in iter_bits(useful[i]):
-            counts[k] = counts.get(k, 0) + 1
-    order = sorted(counts, key=lambda k: (counts[k], k))
-
-    # Memo on the remaining-universe bitset: a state revisited with at
-    # least as many candidates already chosen cannot improve the
-    # incumbent (its first exploration either updated it or was pruned
-    # against an incumbent no worse than the final one).
-    explored: dict[int, int] = {}
-
-    def search(uncovered: int, chosen: list[int]) -> None:
-        nonlocal best
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if len(chosen) + 1 >= len(best):
-            return
-        if explored.get(uncovered, len(live) + 1) <= len(chosen):
-            return
-        explored[uncovered] = len(chosen)
-        target = next(k for k in order if uncovered >> k & 1)
-        options = [i for i in live if useful[i] >> target & 1]
-        options.sort(key=lambda i: (-(useful[i] & uncovered).bit_count(), i))
-        for option in options:
-            if option in chosen:
-                continue
-            chosen.append(option)
-            search(uncovered & ~useful[option], chosen)
-            chosen.pop()
-
-    search(remaining, [])
-    return sorted(best)

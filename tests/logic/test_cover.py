@@ -8,6 +8,7 @@ import pytest
 from repro.errors import CoveringError
 from repro.logic.cube import Cube
 from repro.logic.cover import (
+    EXACT_SEARCH_LIMIT,
     CoverResult,
     essential_primes,
     essential_sop,
@@ -106,8 +107,16 @@ class TestMinimalCover:
             minimal_cover(f, primes=[Cube.from_string("1-"), Cube.from_string("11")])
 
     def test_greedy_fallback(self):
-        f = BooleanFunction(("a", "b", "c"), on=frozenset(range(7)))
-        result = minimal_cover(f, exact=False)
+        # Every minterm but 0 and 63: the primes are the 30 two-literal
+        # cubes x_i & ~x_j, each minterm lies in at least five of them,
+        # so the cyclic core is all 30 primes, past EXACT_SEARCH_LIMIT.
+        f = BooleanFunction(
+            tuple("abcdef"), on=frozenset(range(1, 63))
+        )
+        assert len(primes_of(f)) > EXACT_SEARCH_LIMIT
+        result = minimal_cover(f)
+        assert result.exact is False
+        assert result.essential == ()
         assert f.is_cover(result.cubes)
 
     def test_essentials_recorded(self):

@@ -1,5 +1,8 @@
 """Blob backends: atomicity, namespacing, absence semantics."""
 
+import os
+import threading
+
 import pytest
 
 from repro.store import DirectoryBackend, MemoryBackend
@@ -69,3 +72,53 @@ class TestDirectoryBackend:
         b = DirectoryBackend(tmp_path)
         a.write("synthesis/k.json", b"from-a")
         assert b.read("synthesis/k.json") == b"from-a"
+
+
+class TestDirectoryInterleaving:
+    """Deterministic interleavings of concurrent writers on one directory."""
+
+    def test_lease_is_not_readable_before_its_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """A peer that reads a lease while its writer is mid-write must
+        see no blob, never an empty one: the read here runs when the
+        writer opens its file, before any byte is written."""
+        backend = DirectoryBackend(tmp_path)
+        seen = []
+        real_fdopen = os.fdopen
+
+        def fdopen(fd, *args, **kwargs):
+            seen.append(backend.read("inflight/k"))
+            return real_fdopen(fd, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        assert backend.write_if_absent("inflight/k", b"lease") is True
+        monkeypatch.undo()
+        assert seen == [None]
+        assert backend.read("inflight/k") == b"lease"
+        assert list(backend.names()) == ["inflight/k"]
+
+    def test_threads_of_one_process_stage_distinct_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        backend = DirectoryBackend(tmp_path)
+        staged = []
+        real_replace = os.replace
+
+        def replace(src, dst, *args, **kwargs):
+            staged.append(os.fspath(src))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        for payload in (b"one", b"two"):
+            writer = threading.Thread(
+                target=backend.write, args=("synthesis/k.json", payload)
+            )
+            writer.start()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        monkeypatch.undo()
+        assert len(staged) == 2
+        assert staged[0] != staged[1]
+        assert backend.read("synthesis/k.json") == b"two"
+        assert list(backend.names()) == ["synthesis/k.json"]

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from repro.errors import CoveringError
+from repro.logic._reference import minimum_set_cover_reference
 from repro.util.setcover import (
-    DOMINANCE_LIMIT,
+    EXACT_LIMIT,
     _undominated_indexed,
     minimum_set_cover,
 )
@@ -130,38 +131,36 @@ class TestDominanceIndex:
         useful = {0: 0b011, 1: 0b110, 2: 0b101}
         assert _undominated_indexed(live, useful) == live
 
-    def test_above_limit_instance_same_cover_as_forced_quadratic(
-        self, monkeypatch
-    ):
-        # Enough candidates to cross DOMINANCE_LIMIT and engage the
-        # index inside minimum_set_cover; the chosen cover must match a
-        # run with the limit raised out of reach (quadratic path).
+    def test_large_instance_same_cover_as_reference(self):
+        # Over 2000 candidates with many duplicate and nested masks: the
+        # indexed elimination must leave the set-based reference's
+        # survivors, so both pick the same cover.
         rng = random.Random(17)
         universe = set(range(16))
         candidates = []
-        while len(candidates) <= DOMINANCE_LIMIT:
+        while len(candidates) <= 2000:
             size = rng.randint(1, 6)
             candidates.append(frozenset(rng.sample(sorted(universe), size)))
-        indexed = minimum_set_cover(universe, candidates)
-
-        import repro.util.setcover as sc
-
-        monkeypatch.setattr(sc, "DOMINANCE_LIMIT", len(candidates) + 1)
-        quadratic = minimum_set_cover(universe, candidates)
-        assert indexed == quadratic
+        result = minimum_set_cover(universe, candidates)
+        chosen, exact = minimum_set_cover_reference(universe, candidates)
+        assert (result.chosen, result.exact) == (chosen, exact)
         covered = set()
-        for i in indexed.chosen:
+        for i in result.chosen:
             covered |= candidates[i]
         assert universe <= covered
 
 
 class TestGreedy:
     def test_greedy_mode_still_covers(self):
-        universe = set(range(12))
-        candidates = [frozenset({i, (i + 1) % 12}) for i in range(12)]
-        result = minimum_set_cover(universe, candidates, exact=False)
+        # A ring of pairs: every element is covered twice (no essentials)
+        # and no pair dominates another, so all 60 candidates reach the
+        # cyclic core, past EXACT_LIMIT.
+        universe = set(range(60))
+        candidates = [frozenset({i, (i + 1) % 60}) for i in range(60)]
+        assert len(candidates) > EXACT_LIMIT
+        result = minimum_set_cover(universe, candidates)
         covered = set()
         for i in result.chosen:
             covered |= candidates[i]
         assert universe <= covered
-        assert not result.exact
+        assert result.exact is False
